@@ -53,6 +53,12 @@ stripping comments and string literals (line numbers are preserved):
                    dispatch/drain paths, DESIGN.md §13). A lock inside one
                    of these sections would silently reintroduce the
                    cross-thread serialization the sharding removed.
+  checked-guard    No `#ifdef DRUM_CHECKED`, `#ifndef DRUM_CHECKED` or
+                   `defined(DRUM_CHECKED)` outside drum/check/check.hpp.
+                   check.hpp always defines DRUM_CHECKED (0 when the
+                   contract layer is compiled out), so an existence test is
+                   always true; code that depends on the contract macros
+                   must test the value with `#if DRUM_CHECKED`.
   sim-determinism  Protects the Monte-Carlo bit-identity contract
                    (DESIGN.md §9): inside src/drum/sim/, every draw from —
                    or handoff of — a main-stream Rng must be either
@@ -385,6 +391,27 @@ def check_single_recv(files, findings) -> None:
                     "cost (DESIGN.md §12)")
 
 
+CHECK_HEADER = "src/drum/check/check.hpp"
+CHECKED_GUARD_RE = re.compile(
+    r"^\s*#\s*(?:(?:ifdef|ifndef)\s+DRUM_CHECKED\b"
+    r"|(?:el)?if\b.*\bdefined\s*\(?\s*DRUM_CHECKED\b)")
+
+
+def check_checked_guard(files, findings) -> None:
+    for f in files:
+        if f.rel == CHECK_HEADER:
+            continue
+        ok = f.allowed("checked-guard")
+        for lineno, line in enumerate(f.code.splitlines(), 1):
+            if lineno in ok:
+                continue
+            if CHECKED_GUARD_RE.search(line):
+                findings.append(
+                    f"{f.rel}:{lineno}: [checked-guard] DRUM_CHECKED is "
+                    "always defined (0 when contracts are off) — test its "
+                    "value with `#if DRUM_CHECKED`")
+
+
 # --- shard-affinity --------------------------------------------------------
 
 # Files that are shard-local in their entirety.
@@ -621,6 +648,25 @@ CHECKS = [
         ({"src/drum/core/a.cpp":
           "void f(Socket& s) { s.recv(); }  "
           "// drum-lint: allow(single-recv)\n"}, 0),
+    ]),
+    ("checked-guard", check_checked_guard, [
+        # existence tests are always true: findings
+        ({"tests/a.cpp": "#ifdef DRUM_CHECKED\nint x;\n#endif\n"}, 1),
+        ({"src/a.hpp": "#  ifndef DRUM_CHECKED\nint x;\n#  endif\n"}, 1),
+        ({"src/a.cpp": "#if defined(DRUM_CHECKED) && X\nint x;\n#endif\n"},
+         1),
+        ({"src/a.cpp": "#if 0\n#elif defined DRUM_CHECKED\n#endif\n"}, 1),
+        # value tests: clean
+        ({"tests/a.cpp": "#if DRUM_CHECKED\nint x;\n#endif\n"}, 0),
+        ({"src/a.cpp": "#if !DRUM_CHECKED\nint x;\n#endif\n"}, 0),
+        # the header that owns the default may test for existence
+        ({"src/drum/check/check.hpp":
+          "#ifndef DRUM_CHECKED\n#define DRUM_CHECKED 0\n#endif\n"}, 0),
+        # mentions in comments are stripped; suppression syntax
+        ({"src/a.cpp": "// #ifdef DRUM_CHECKED is wrong\nint x;\n"}, 0),
+        ({"src/a.cpp":
+          "#ifdef DRUM_CHECKED  // drum-lint: allow(checked-guard)\n"
+          "#endif\n"}, 0),
     ]),
     ("shard-affinity", check_shard_affinity, [
         # the ring header is shard-local in its entirety

@@ -105,8 +105,10 @@ void ReactorRuntime::install_hooks(NodeState& st) {
 void ReactorRuntime::install_hooks_sharded(NodeState& st) {
   NodeState* stp = &st;
   Shard* sh = shards_[st.shard].get();
+  std::shared_ptr<CallbackGate> gate = gate_;
   check::MutexLock node_lock(st.mu);
-  st.node->set_socket_hook([this, stp, sh](net::Socket& sock, bool added) {
+  st.node->set_socket_hook([this, stp, sh, gate](net::Socket& sock,
+                                                 bool added) {
     if (added) {
       if (sock.native_handle() >= 0) {
         // Real fd: epoll on the home shard's loop — readiness fires on the
@@ -126,9 +128,16 @@ void ReactorRuntime::install_hooks_sharded(NodeState& st) {
           check::MutexLock lock(sh->sources_mu);
           sh->sources[&sock] = 0;  // 0: no loop registration to undo
         }
-        sock.set_ready_callback([this, stp] {
-          stp->ready.store(true);
-          dispatch(*stp);
+        sock.set_ready_callback([this, stp, gate] {
+          // Announce the entry before checking the gate: stop_sharded()
+          // closes it and then waits for `inside` to drain, so either it
+          // sees this call or this call sees the gate closed.
+          gate->inside.fetch_add(1);
+          if (gate->open.load()) {
+            stp->ready.store(true);
+            dispatch(*stp);
+          }
+          gate->inside.fetch_sub(1);
         });
         // Datagrams may have been delivered before the callback attached.
         stp->ready.store(true);
@@ -400,6 +409,15 @@ void ReactorRuntime::start() {
   }
   n_shards_.store(n, std::memory_order_relaxed);
   sharded_.store(n >= 2, std::memory_order_relaxed);
+  // A fresh run has no node in any queue, ring or ready list. A flag left
+  // set by the previous run (say, a readiness edge that landed while stop()
+  // was detaching) would make every dispatch() return early and the node
+  // would never drain again. Installing the hooks below replays readiness.
+  for (auto& st : nodes_) {
+    st.scheduled.store(false);
+    st.ready.store(false);
+    st.round_due.store(false);
+  }
   if (n >= 2) {
     start_sharded(n);
   } else {
@@ -434,6 +452,7 @@ void ReactorRuntime::start_single() {
 
 void ReactorRuntime::start_sharded(std::size_t n_shards) {
   shards_.clear();
+  gate_ = std::make_shared<CallbackGate>();
   const std::size_t per_shard = (nodes_.size() + n_shards - 1) / n_shards;
   for (std::size_t s = 0; s < n_shards; ++s) {
     shards_.push_back(std::make_unique<Shard>());
@@ -517,18 +536,18 @@ void ReactorRuntime::stop_sharded() {
   for (auto& sh : shards_) {
     if (sh->thread.joinable()) sh->thread.join();
   }
-  // All shard threads quiesced. Cancel timers, detach hooks, clear the
-  // scheduling flags (rings and ready lists may hold stale entries that die
-  // with the shards below), and unregister sockets.
+  // Shard threads are joined, but another thread can still be inside a
+  // MemSocket readiness callback. Close the gate and wait it out: after
+  // this, no dispatch() reaches the shards torn down below.
+  gate_->open.store(false);
+  while (gate_->inside.load() != 0) std::this_thread::yield();
+  // Cancel timers, detach hooks, and unregister sockets. Rings and ready
+  // lists may hold stale entries; they die with the shards below, and
+  // start() clears the scheduling flags they leave set.
   for (auto& st : nodes_) {
     shards_[st.shard]->loop.cancel_timer(st.timer_id);
-    {
-      check::MutexLock node_lock(st.mu);
-      st.node->set_socket_hook(nullptr);
-    }
-    st.scheduled.store(false);
-    st.ready.store(false);
-    st.round_due.store(false);
+    check::MutexLock node_lock(st.mu);
+    st.node->set_socket_hook(nullptr);
   }
   for (auto& sh : shards_) {
     check::MutexLock lock(sh->sources_mu);

@@ -109,9 +109,10 @@ class ReactorRuntime {
   /// Installs socket hooks, arms every node's first round tick, and launches
   /// the loop (or shard) threads. Idempotent while running.
   void start();
-  /// Idempotent; blocks until all threads joined, then detaches the socket
-  /// hooks so nodes are plain single-threaded objects again. start() may be
-  /// called again afterwards.
+  /// Idempotent; blocks until all threads joined and no readiness callback
+  /// of this run is still dispatching, then detaches the socket hooks so
+  /// nodes are plain single-threaded objects again. start() may be called
+  /// again afterwards.
   void stop();
   [[nodiscard]] bool running() const { return running_.load(); }
 
@@ -231,6 +232,18 @@ class ReactorRuntime {
     obs::Counter* m_resyncs = nullptr;    ///< reactor.timer_resyncs
   };
 
+  /// Admission gate for the MemSocket readiness callbacks of one sharded
+  /// run. MemNetwork copies a queue's callback and invokes it outside every
+  /// lock, so a sender thread can call it after stop() detached it. Each
+  /// callback holds the gate by shared_ptr and enters only while it is
+  /// open; stop_sharded() closes it and waits until no call is inside, so
+  /// no dispatch() from an earlier run can touch the shards afterwards (or
+  /// this runtime at all, once it is destroyed).
+  struct CallbackGate {
+    std::atomic<bool> open{true};
+    std::atomic<int> inside{0};
+  };
+
   net::EventLoop::Clock::duration jittered_round(NodeState& st);
   net::EventLoop& home_loop(NodeState& st);
   void arm_first_tick(NodeState& st);
@@ -289,6 +302,8 @@ class ReactorRuntime {
   /// Shards of the current run; built by start_sharded(), torn down by
   /// stop_sharded(). unique_ptr: EventLoop is neither movable nor copyable.
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// The current sharded run's callback gate; replaced by start_sharded().
+  std::shared_ptr<CallbackGate> gate_;
 
   /// Inline-path scratch (shards == 1, workers == 0); loop thread only.
   core::ingress::IngressBatch inline_batch_;

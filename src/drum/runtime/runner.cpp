@@ -7,6 +7,7 @@ ReactorConfig to_reactor(const RunnerConfig& cfg) {
   ReactorConfig rc;
   rc.round = cfg.round;
   rc.jitter = cfg.jitter;
+  rc.shards = 1;   // the single-loop shape, whatever the core count
   rc.workers = 0;  // dispatch inline on the loop thread: one thread total
   rc.instrument = cfg.instrument;
   return rc;

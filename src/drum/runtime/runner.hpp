@@ -47,6 +47,10 @@ class NodeRunner {
   /// Idempotent; blocks until the loop thread has joined.
   void stop() { reactor_.stop(); }
   [[nodiscard]] bool running() const { return reactor_.running(); }
+  /// Event loops the runner used (0 before the first start): always 1.
+  [[nodiscard]] std::size_t shard_count() const {
+    return reactor_.shard_count();
+  }
 
   /// Thread-safe multicast through the node.
   core::MessageId multicast(util::ByteSpan payload) {

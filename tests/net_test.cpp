@@ -17,6 +17,14 @@ util::Bytes bytes_of(const std::string& s) {
   return util::Bytes(s.begin(), s.end());
 }
 
+// "m<i>". Plain appends: GCC 12's -Wrestrict false-positives on chained
+// `const char* + std::string&&` concatenation (PR105651).
+util::Bytes numbered(int i) {
+  std::string s = "m";
+  s += std::to_string(i);
+  return bytes_of(s);
+}
+
 TEST(MemTransport, SendReceiveRoundTrip) {
   MemNetwork net;
   auto ta = net.transport(1);
@@ -119,7 +127,7 @@ TEST(MemTransport, RecvBatchMatchesSequentialRecv) {
   auto s = t->bind(100);
   ASSERT_TRUE(s);
   for (int i = 0; i < 10; ++i) {
-    auto msg = bytes_of("m" + std::to_string(i));
+    auto msg = numbered(i);
     net.send_raw(Address{2, 7}, Address{1, 100}, util::ByteSpan(msg));
   }
   // A window smaller than the backlog fills exactly; payloads and senders
@@ -127,7 +135,7 @@ TEST(MemTransport, RecvBatchMatchesSequentialRecv) {
   Datagram out[6];
   ASSERT_EQ(s->recv_batch(out, 6), 6u);
   for (int i = 0; i < 6; ++i) {
-    EXPECT_EQ(out[i].payload, bytes_of("m" + std::to_string(i)));
+    EXPECT_EQ(out[i].payload, numbered(i));
     EXPECT_EQ(out[i].from, (Address{2, 7}));
   }
   // The remainder drains in one short batch; the queue is then empty.

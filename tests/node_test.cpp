@@ -134,7 +134,7 @@ TEST(Node, DeliversToAllAndExactlyOnce) {
   }
 }
 
-#ifdef DRUM_CHECKED
+#if DRUM_CHECKED
 struct EntryFailure {};
 [[noreturn]] void entry_failure_handler(check::Kind, const char*, const char*,
                                         int, const std::string&) {

@@ -268,9 +268,13 @@ struct ReactorFleet {
   }
 };
 
+// The single-loop shape (shards == 1), where `workers` applies. Pinned:
+// the default shards == 0 resolves to the core count, so an unpinned fleet
+// would run single-loop on a 1-core host and sharded everywhere else.
 ReactorConfig fast_config(std::size_t workers) {
   ReactorConfig rc;
   rc.round = 60ms;
+  rc.shards = 1;
   rc.workers = workers;
   return rc;
 }
@@ -320,6 +324,7 @@ TEST(Reactor, RoundTicksTrackConfiguredRoundWithoutDrift) {
   ReactorConfig rc;
   rc.round = 50ms;
   rc.jitter = 0.0;  // deterministic period: interval spread is pure slop
+  rc.shards = 1;
   rc.workers = 0;
   ReactorFleet f(4, false, 9600, rc);
   f.reactor->start();

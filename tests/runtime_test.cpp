@@ -107,6 +107,16 @@ TEST(Runtime, StopIsIdempotentAndRestartable) {
   f.stop();
 }
 
+// The runner promises one thread total. Its reactor must not inherit the
+// ReactorConfig default (shards == 0 resolves to the core count), which
+// would start one loop per core, all but one owning no node.
+TEST(Runtime, RunnerRunsOneLoopOnAnyCoreCount) {
+  Fleet f(2, false, 9250);
+  f.start();
+  for (auto& r : f.runners) EXPECT_EQ(r->shard_count(), 1u);
+  f.stop();
+}
+
 TEST(Runtime, WithNodeGivesExclusiveAccess) {
   Fleet f(4, false, 9200);
   f.start();

@@ -218,6 +218,7 @@ TEST(Stress, ReactorConcurrentMulticastFloodAndChurn) {
   }
   ReactorConfig rc;
   rc.round = 30ms;
+  rc.shards = 1;  // the worker pool only exists in the single-loop shape
   rc.workers = 2;
   ReactorRuntime reactor(rc);
   for (std::uint32_t id = 0; id < kNodes; ++id) {
@@ -324,6 +325,7 @@ TEST(Stress, ReactorCrossNodeBatchAccumulation) {
   }
   ReactorConfig rc;
   rc.round = 20ms;
+  rc.shards = 1;  // the worker pool only exists in the single-loop shape
   rc.workers = 3;
   ReactorRuntime reactor(rc);
   for (std::uint32_t id = 0; id < kNodes; ++id) {
@@ -613,6 +615,99 @@ TEST(Stress, ReactorShardedFloodAndChurn) {
       10000ms * kSanSlowdown));
   reactor.stop();
   EXPECT_EQ(delivered.load(), expect + int(kNodes) - 1);
+}
+
+// StartStopChurnWithReaders on one sharded runtime (two shards, pinned),
+// with a foreign sender thread that keeps hitting the nodes' MemSockets
+// through every lifecycle transition. MemNetwork invokes a queue's ready
+// callback outside its locks, so such a call can still be running when
+// stop() returns. Regression for two faults of the sharded restart: a
+// late callback could leave a node's `scheduled` flag set across the
+// restart (the node never drained again), or post to a shard loop that
+// stop() had already freed (heap-use-after-free under ASan).
+TEST(Stress, ShardedStartStopChurnWithForeignSender) {
+  constexpr std::size_t kNodes = 3;
+  constexpr int kCycles = 20;
+  util::Rng rng{202};
+  net::MemNetwork mem;
+  std::vector<crypto::Identity> ids;
+  std::vector<core::Peer> dir(kNodes);
+  std::vector<std::unique_ptr<net::Transport>> transports;
+  std::vector<std::unique_ptr<core::Node>> nodes;
+  std::atomic<int> delivered{0};
+  for (std::uint32_t id = 0; id < kNodes; ++id) {
+    ids.push_back(crypto::Identity::generate(rng));
+    dir[id] = {id,
+               id,
+               static_cast<std::uint16_t>(9900 + 2 * id),
+               static_cast<std::uint16_t>(9900 + 2 * id + 1),
+               0,
+               ids[id].sign_public(),
+               ids[id].dh_public(),
+               true};
+  }
+  ReactorConfig rc;
+  rc.round = 30ms;
+  rc.shards = 2;
+  ReactorRuntime reactor(rc);
+  for (std::uint32_t id = 0; id < kNodes; ++id) {
+    transports.push_back(mem.transport(id));
+    core::NodeConfig cfg = core::make_node_config(core::Variant::kDrum, id);
+    cfg.wk_pull_port = dir[id].wk_pull_port;
+    cfg.wk_offer_port = dir[id].wk_offer_port;
+    nodes.push_back(std::make_unique<core::Node>(
+        cfg, ids[id], dir, *transports.back(), rng.next(),
+        [&delivered](const core::Node::Delivery&) {
+          delivered.fetch_add(1);
+        }));
+    reactor.add_node(*nodes.back(), rng.next());
+  }
+
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    while (!done.load()) {
+      for (std::size_t id = 0; id < kNodes; ++id) {
+        reactor.with_node(id, [](core::Node& n) {
+          (void)n.registry().counter_value("node.rounds");
+        });
+      }
+      std::this_thread::sleep_for(1ms);
+    }
+  });
+  // Junk to the well-known ports: each send fires the destination queue's
+  // ready callback on this thread, running or not.
+  std::thread sender([&] {
+    util::Rng srng{203};
+    util::Bytes junk(32);
+    while (!done.load()) {
+      for (auto& b : junk) b = static_cast<std::uint8_t>(srng.below(256));
+      const auto victim = static_cast<std::uint32_t>(srng.below(kNodes));
+      mem.send_raw({0xBAD00000u, 4242}, {victim, dir[victim].wk_offer_port},
+                   util::ByteSpan(junk));
+      std::this_thread::sleep_for(50us);
+    }
+  });
+
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    reactor.start();
+    EXPECT_EQ(reactor.shard_count(), 2u);
+    reactor.multicast(static_cast<std::size_t>(cycle) % kNodes,
+                      util::ByteSpan(
+                          reinterpret_cast<const std::uint8_t*>("c"), 1));
+    std::this_thread::sleep_for(20ms);
+    reactor.stop();
+  }
+  // Every message reaches the other nodes once the runtime runs again,
+  // while the sender keeps going.
+  reactor.start();
+  EXPECT_TRUE(eventually(
+      [&] { return delivered.load() >= kCycles * int(kNodes - 1); },
+      10000ms * kSanSlowdown));
+  done.store(true);
+  sender.join();
+  reader.join();
+  reactor.stop();
+  EXPECT_EQ(delivered.load(), kCycles * int(kNodes - 1));
 }
 
 }  // namespace
