@@ -4,6 +4,7 @@
 // strategies), and the §9 ablations.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 
 #include "drum/sim/engine.hpp"
@@ -374,11 +375,23 @@ TEST(SimEngine, RejectsDegenerateConfigs) {
 // Property sweep: for every protocol and a grid of attacks, coverage curves
 // are monotone, bounded by [0,1], and attacked runs never beat the
 // attack-free baseline by more than noise.
+//
+// SweepCase has no printer, so gtest and ctest name each case by a dump of
+// its bytes. The struct therefore has no implicit padding: `pad` fills the
+// hole after `proto` with a zero that every copy keeps, where compiler
+// padding would carry whatever the stack held and the case's name would
+// change from one process to the next.
 struct SweepCase {
+  SweepCase(SimProtocol p, double a, double xv) : proto(p), alpha(a), x(xv) {}
   SimProtocol proto;
+  std::uint32_t pad = 0;
   double alpha;
   double x;
 };
+static_assert(sizeof(SweepCase) ==
+                  sizeof(SimProtocol) + sizeof(std::uint32_t) +
+                      2 * sizeof(double),
+              "SweepCase must not have implicit padding");
 
 class SimSweep : public ::testing::TestWithParam<SweepCase> {};
 
