@@ -6,10 +6,10 @@
 #
 #   asan  — AddressSanitizer + UndefinedBehaviorSanitizer: lifetime,
 #           bounds, aliasing, UB. Build dir: build-asan/.
-#   tsan  — ThreadSanitizer: races on the NodeRunner / ReactorRuntime /
-#           EventLoop / MemNetwork / contract-layer paths
-#           (tests/stress_test.cpp hammers them, including the reactor's
-#           loop-thread + worker-pool + readiness-bridge handoffs in
+#   tsan  — ThreadSanitizer: races on the ReactorRuntime / EventLoop /
+#           MemNetwork / contract-layer paths (tests/stress_test.cpp
+#           hammers them, including the reactor's shard threads, SPSC ring
+#           handoffs and foreign-thread MemSocket readiness in
 #           Stress.ReactorConcurrentMulticastFloodAndChurn).
 #           Build dir: build-tsan/.
 #   ubsan — UBSan alone, non-recoverable (-fno-sanitize-recover=all): any

@@ -109,6 +109,7 @@ void Node::init_metrics() {
   c_.delivered = &registry_.counter("node.delivered");
   c_.duplicates = &registry_.counter("node.duplicates");
   c_.datagrams_read = &registry_.counter("node.datagrams_read");
+  c_.score_overflow_reads = &registry_.counter("node.score_overflow_reads");
   c_.flushed_unread = &registry_.counter("node.flushed_unread");
   c_.decode_errors = &registry_.counter("node.decode_errors");
   c_.box_failures = &registry_.counter("node.box_failures");
@@ -351,7 +352,9 @@ void Node::drain_ingress(ingress::IngressBatch& batch) {
     // a valid pull request gets the constant-size empty ack (so a busy
     // correct node stays distinguishable from a black hole at every
     // requester's futility signal); a valid offer is scored and dropped.
-    std::size_t reads = 0;
+    // The cap is per round, like the budget: a flood wakes the node many
+    // times a round, and a per-wakeup cap would not bound the reads.
+    std::size_t& reads = scored_reads_[static_cast<int>(bs.channel)];
     while (true) {
       // Admissible-read window: never pull more out of the queue than this
       // round's budgets (or the scored read cap) still admit — the excess
@@ -379,6 +382,7 @@ void Node::drain_ingress(ingress::IngressBatch& batch) {
           // Budget exhausted (scored channels only — the window above is
           // exact elsewhere): decode + score (+ ack) later, budget
           // untouched.
+          c_.score_overflow_reads->inc();
           disposition = bs.channel == Channel::kPullReq
                             ? ingress::Disposition::kAckOnly
                             : ingress::Disposition::kScoreOnly;
@@ -560,9 +564,12 @@ void Node::flush_egress() {
 
 void Node::apply_pull_request(const ingress::VerifiedFrame& f) {
   if (!f.port) {
-    c_.box_failures->inc();  // fabricated or corrupted request
+    // Fabricated or corrupted request. The box is what authenticates the
+    // claimed sender, so a failed one is unattributable (any spoofer can
+    // name any member) and is never scored — the simulator books spoofed
+    // traffic the same way.
+    c_.box_failures->inc();
     trace(obs::EventKind::kBoxFailure, f.sender);
-    if (cfg_.scoring.enabled) score_.on_decode_error(f.sender);
     return;
   }
   if (cfg_.scoring.enabled) {
@@ -603,9 +610,8 @@ void Node::apply_pull_request(const ingress::VerifiedFrame& f) {
 
 void Node::apply_push_offer(const ingress::VerifiedFrame& f) {
   if (!f.port) {
-    c_.box_failures->inc();
+    c_.box_failures->inc();  // unattributable, never scored (see above)
     trace(obs::EventKind::kBoxFailure, f.sender);
-    if (cfg_.scoring.enabled) score_.on_decode_error(f.sender);
     return;
   }
   if (cfg_.scoring.enabled) {
@@ -624,7 +630,8 @@ void Node::apply_push_offer(const ingress::VerifiedFrame& f) {
   reply.sender = cfg_.id;
   reply.digest = buffer_.digest();
   reply.boxed_data_port =
-      crypto::portbox_seal_port(pair_key(f.sender), cur_push_data_port_, rng_);
+      crypto::portbox_seal_port(pair_key(f.sender), cur_push_data_port_,
+                                nonces_);
   queue_send(net::Address{f.host, *f.port}, encode(reply));
 }
 
@@ -765,7 +772,8 @@ void Node::send_gossip() {
       req.digest = digest;
       req.cert = own_cert_;
       req.boxed_reply_port =
-          crypto::portbox_seal_port(pair_key(t), cur_pull_reply_port_, rng_);
+          crypto::portbox_seal_port(pair_key(t), cur_pull_reply_port_,
+                                    nonces_);
       trace(obs::EventKind::kPullReqSend, t);
       if (cfg_.scoring.enabled) pending_pulls_.emplace_back(t, false);
       queue_send(net::Address{dir()[t].host, dir()[t].wk_pull_port},
@@ -781,7 +789,8 @@ void Node::send_gossip() {
       offer.sender = cfg_.id;
       offer.cert = own_cert_;
       offer.boxed_reply_port =
-          crypto::portbox_seal_port(pair_key(t), cur_push_reply_port_, rng_);
+          crypto::portbox_seal_port(pair_key(t), cur_push_reply_port_,
+                                    nonces_);
       trace(obs::EventKind::kOfferSend, t);
       queue_send(net::Address{dir()[t].host, dir()[t].wk_offer_port},
                  encode(offer));
@@ -845,6 +854,7 @@ void Node::on_round() {
   }
   used_.clear();
   shared_control_used_ = 0;
+  std::fill(std::begin(scored_reads_), std::end(scored_reads_), 0);
 
   if (cfg_.scoring.enabled) {
     score_.begin_round(round_);

@@ -44,6 +44,7 @@
 #include "drum/core/message.hpp"
 #include "drum/core/scoring.hpp"
 #include "drum/crypto/keys.hpp"
+#include "drum/crypto/portbox.hpp"
 #include "drum/net/transport.hpp"
 #include "drum/obs/metrics.hpp"
 #include "drum/obs/trace.hpp"
@@ -157,16 +158,16 @@ class Node {
   /// hook immediately replays all currently bound sockets as additions;
   /// installing nullptr detaches without replay. The hook runs on whatever
   /// thread drives the node (constructor thread at install, the runtime's
-  /// worker during on_round rotation) — never concurrently with itself,
+  /// shard thread during on_round rotation) — never concurrently with itself,
   /// because the node itself is single-threaded.
   using SocketHook = std::function<void(net::Socket&, bool added)>;
   void set_socket_hook(SocketHook hook);
 
   /// The node's full metric store: activity counters under "node.*"
-  /// (rounds, delivered, duplicates, datagrams_read, flushed_unread,
-  /// decode_errors, box_failures, sig_failures, unknown_sender,
-  /// certs_admitted, pull_requests_served, push_offers_answered,
-  /// push_replies_acted) plus per-channel telemetry under "chan.<name>.*"
+  /// (rounds, delivered, duplicates, datagrams_read, score_overflow_reads,
+  /// flushed_unread, decode_errors, box_failures, sig_failures,
+  /// unknown_sender, certs_admitted, pull_requests_served,
+  /// push_offers_answered, push_replies_acted) plus per-channel telemetry under "chan.<name>.*"
   /// (read, flushed_unread, decode_errors, budget_exhausted counters and a
   /// per-round budget_used histogram) and the "node.poll.drained"
   /// queue-drain-depth histogram. Read with the typed accessors
@@ -278,6 +279,10 @@ class Node {
   PeerDirectory peers_;
   net::Transport& transport_;
   util::Rng rng_;
+  /// Port-box nonces: a random salt per Node, not a function of rng_'s
+  /// seed, so two Nodes built from the same seed and identity (a restart,
+  /// a re-seeded test world) never seal under one (pair key, nonce).
+  crypto::PortBoxNonces nonces_;
   DeliverFn on_deliver_;
 
   MessageBuffer buffer_;
@@ -294,7 +299,7 @@ class Node {
   bool in_round_ = false;
   /// Which thread is currently inside the node (default id = nobody).
   /// The node has no mutex on purpose — serialization is the *runtime's*
-  /// job (ReactorRuntime's per-node st.mu, NodeRunner's single thread) —
+  /// job (ReactorRuntime's per-node st.mu, harness::Cluster's one thread) —
   /// so this guard turns a broken runtime contract into a loud checked-
   /// build failure instead of silent state corruption. Same-thread nesting
   /// is legal (multicast from a delivery callback); cross-thread overlap
@@ -309,6 +314,9 @@ class Node {
   // Per-round budget usage.
   std::unordered_map<int, std::size_t> used_;
   std::size_t shared_control_used_ = 0;
+  /// Per-round reads on each scored channel, over-budget ones included;
+  /// capped at budget * ScoringConfig::read_multiplier.
+  std::size_t scored_reads_[5] = {};
 
   std::unordered_map<std::uint32_t, util::Bytes> pair_keys_;
   util::Bytes own_cert_;
@@ -337,6 +345,10 @@ class Node {
     obs::Counter* delivered = nullptr;
     obs::Counter* duplicates = nullptr;
     obs::Counter* datagrams_read = nullptr;
+    /// Scored-channel datagrams read past the channel's budget (under the
+    /// scoring read cap): decoded and scored, acked or dropped, never
+    /// budget-charged, so datagrams_read does not count them.
+    obs::Counter* score_overflow_reads = nullptr;
     obs::Counter* flushed_unread = nullptr;
     obs::Counter* decode_errors = nullptr;
     obs::Counter* box_failures = nullptr;

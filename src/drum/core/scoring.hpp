@@ -6,9 +6,14 @@
 // takes that peer's share away.
 //
 // Score inputs, all attributable to a claimed sender id:
-//  * decode errors     — malformed frames / failed port-boxes naming the
-//                        peer. Cheap to frame (anyone can claim any sender on
-//                        a well-known port), so the penalty weight is low.
+//  * decode errors     — malformed frames naming the peer, and bad data
+//                        signatures blamed on the forwarding peer. Cheap to
+//                        frame (anyone can claim any sender on a well-known
+//                        port), so the penalty weight is low. A failed
+//                        port-box is NOT an input: the box is what
+//                        authenticates the claimed sender, so its failure
+//                        is unattributable, and scoring it would let an
+//                        off-path spoofer greylist correct peers at will.
 //  * overuse           — budget-exhaustion attribution: valid control frames
 //                        beyond a per-peer per-round allowance. A valid
 //                        port-box proves possession of the pair key, so this
@@ -47,8 +52,8 @@ struct ScoringConfig {
   /// is O(fanout/n) per round.
   double decay = 0.995;
 
-  /// Penalty per malformed frame / failed port-box naming the peer. Low:
-  /// this signal can be framed by a spoofer (see header comment).
+  /// Penalty per malformed frame naming the peer. Low: this signal can be
+  /// framed by a spoofer (see header comment).
   double decode_error_penalty = 0.5;
 
   /// Valid control frames accepted from one peer per round before each

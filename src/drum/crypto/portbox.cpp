@@ -1,6 +1,7 @@
 #include "drum/crypto/portbox.hpp"
 
 #include <cstring>
+#include <random>
 #include <stdexcept>
 
 #include "drum/check/check.hpp"
@@ -31,15 +32,11 @@ std::array<std::uint8_t, kPortBoxTagSize> compute_tag(util::ByteSpan key,
   return tag;
 }
 
-}  // namespace
-
-util::Bytes portbox_seal(util::ByteSpan key, util::ByteSpan plaintext,
-                         util::Rng& rng) {
+util::Bytes seal_with(util::ByteSpan key, const PortBoxNonces::Nonce& nonce,
+                      util::ByteSpan plaintext) {
   if (key.size() != kPortBoxKeySize) {
     throw std::invalid_argument("portbox key size");
   }
-  std::array<std::uint8_t, kPortBoxNonceSize> nonce;
-  for (auto& b : nonce) b = static_cast<std::uint8_t>(rng.below(256));
   // Checked builds: a (key, nonce) pair must never cover two different
   // plaintexts — that is keystream reuse, which breaks the stream cipher.
   // (A byte-identical replay is tolerated: deterministic simulations replay
@@ -63,6 +60,41 @@ util::Bytes portbox_seal(util::ByteSpan key, util::ByteSpan plaintext,
   return out;
 }
 
+std::array<std::uint8_t, 2> port_bytes(std::uint16_t port) {
+  return {static_cast<std::uint8_t>(port), static_cast<std::uint8_t>(port >> 8)};
+}
+
+}  // namespace
+
+PortBoxNonces::PortBoxNonces() {
+  std::random_device rd;
+  for (std::size_t i = 0; i < salt_.size(); i += 4) {
+    const std::uint32_t word = rd();
+    std::memcpy(salt_.data() + i, &word, 4);
+  }
+}
+
+PortBoxNonces::Nonce PortBoxNonces::next() {
+  Nonce n = salt_;
+  const std::uint64_t c = counter_++;
+  for (std::size_t i = 0; i < 8; ++i) {
+    n[kPortBoxNonceSize - 8 + i] ^= static_cast<std::uint8_t>(c >> (8 * i));
+  }
+  return n;
+}
+
+util::Bytes portbox_seal(util::ByteSpan key, util::ByteSpan plaintext,
+                         PortBoxNonces& nonces) {
+  return seal_with(key, nonces.next(), plaintext);
+}
+
+util::Bytes portbox_seal(util::ByteSpan key, util::ByteSpan plaintext,
+                         util::Rng& rng) {
+  PortBoxNonces::Nonce nonce;
+  for (auto& b : nonce) b = static_cast<std::uint8_t>(rng.below(256));
+  return seal_with(key, nonce, plaintext);
+}
+
 std::optional<util::Bytes> portbox_open(util::ByteSpan key,
                                         util::ByteSpan box) {
   if (key.size() != kPortBoxKeySize) {
@@ -82,10 +114,15 @@ std::optional<util::Bytes> portbox_open(util::ByteSpan key,
 }
 
 util::Bytes portbox_seal_port(util::ByteSpan key, std::uint16_t port,
+                              PortBoxNonces& nonces) {
+  const auto pt = port_bytes(port);
+  return portbox_seal(key, util::ByteSpan(pt.data(), pt.size()), nonces);
+}
+
+util::Bytes portbox_seal_port(util::ByteSpan key, std::uint16_t port,
                               util::Rng& rng) {
-  std::uint8_t pt[2] = {static_cast<std::uint8_t>(port),
-                        static_cast<std::uint8_t>(port >> 8)};
-  return portbox_seal(key, util::ByteSpan(pt, 2), rng);
+  const auto pt = port_bytes(port);
+  return portbox_seal(key, util::ByteSpan(pt.data(), pt.size()), rng);
 }
 
 std::optional<std::uint16_t> portbox_open_port(util::ByteSpan key,

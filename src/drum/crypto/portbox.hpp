@@ -6,9 +6,11 @@
 // Construction: encrypt-then-MAC. ChaCha20 under a pairwise key encrypts the
 // payload; HMAC-SHA256 (truncated to 16 bytes) authenticates nonce+ciphertext.
 // The pairwise key is derived from an X25519 shared secret via HKDF (see
-// keys.hpp). A fresh random 12-byte nonce is carried alongside each box.
+// keys.hpp). A 12-byte nonce, never repeated under one pair key, is carried
+// alongside each box.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -27,8 +29,36 @@ inline constexpr std::size_t kPortBoxKeySize = 32;
 inline constexpr std::size_t kPortBoxOverhead =
     kPortBoxNonceSize + kPortBoxTagSize;
 
-/// Seals `plaintext` under `key`. The nonce is drawn from `rng`.
+/// Nonce source for a long-lived sealer (each core::Node owns one): a 96-bit
+/// salt drawn once from std::random_device at construction, with a 64-bit
+/// counter XORed into its last 8 bytes. One source never repeats a nonce;
+/// two sources (the two ends of a pair key, or a node and its restarted
+/// self) repeat one only if their random salts differ by the XOR of two
+/// counter values — negligible at any realistic seal count. next() makes
+/// no syscall and takes no lock. Neither copyable nor movable: a copy would
+/// replay the sequence.
+class PortBoxNonces {
+ public:
+  using Nonce = std::array<std::uint8_t, kPortBoxNonceSize>;
+
+  PortBoxNonces();
+  PortBoxNonces(const PortBoxNonces&) = delete;
+  PortBoxNonces& operator=(const PortBoxNonces&) = delete;
+
+  Nonce next();
+
+ private:
+  Nonce salt_{};
+  std::uint64_t counter_ = 0;
+};
+
+/// Seals `plaintext` under `key` with the next nonce from `nonces`.
 /// Output layout: nonce || ciphertext || tag.
+util::Bytes portbox_seal(util::ByteSpan key, util::ByteSpan plaintext,
+                         PortBoxNonces& nonces);
+/// Same, with the nonce drawn from a seeded `rng`: reproducible, for tests,
+/// fuzzers and the simulated attacker. Uniqueness is the caller's problem —
+/// two equally seeded Rngs sealing under one key reuse the keystream.
 util::Bytes portbox_seal(util::ByteSpan key, util::ByteSpan plaintext,
                          util::Rng& rng);
 
@@ -38,6 +68,8 @@ std::optional<util::Bytes> portbox_open(util::ByteSpan key,
                                         util::ByteSpan box);
 
 /// Convenience for the common case of boxing a single u16 port.
+util::Bytes portbox_seal_port(util::ByteSpan key, std::uint16_t port,
+                              PortBoxNonces& nonces);
 util::Bytes portbox_seal_port(util::ByteSpan key, std::uint16_t port,
                               util::Rng& rng);
 std::optional<std::uint16_t> portbox_open_port(util::ByteSpan key,

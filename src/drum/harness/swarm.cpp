@@ -1,7 +1,9 @@
 #include "drum/harness/swarm.hpp"
 
+#include <pthread.h>
 #include <sys/resource.h>
 #include <sys/time.h>
+#include <time.h>
 
 #include <algorithm>
 #include <cstring>
@@ -137,23 +139,12 @@ Swarm::Swarm(SwarmConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
     nodes_.push_back(std::move(live));
   }
 
-  if (cfg_.reactor) {
-    runtime::ReactorConfig rc;
-    rc.round = cfg_.round;
-    rc.jitter = cfg_.jitter;
-    rc.workers = cfg_.workers;
-    rc.shards = cfg_.shards;
-    reactor_ = std::make_unique<runtime::ReactorRuntime>(rc);
-    for (auto& live : nodes_) reactor_->add_node(*live.node, rng_.next());
-  } else {
-    runtime::RunnerConfig rc;
-    rc.round = cfg_.round;
-    rc.jitter = cfg_.jitter;
-    for (auto& live : nodes_) {
-      live.runner = std::make_unique<runtime::NodeRunner>(*live.node, rc,
-                                                          rng_.next());
-    }
-  }
+  runtime::ReactorConfig rc;
+  rc.round = cfg_.round;
+  rc.jitter = cfg_.jitter;
+  rc.shards = cfg_.shards;
+  reactor_ = std::make_unique<runtime::ReactorRuntime>(rc);
+  for (auto& live : nodes_) reactor_->add_node(*live.node, rng_.next());
 }
 
 Swarm::~Swarm() { stop(); }
@@ -176,14 +167,14 @@ void Swarm::start() {
   check::MutexLock lifecycle(lifecycle_mu_);
   if (started_) return;
   started_ = true;
-  if (reactor_) {
-    reactor_->start();
-  } else {
-    for (auto& live : nodes_) live.runner->start();
-  }
+  reactor_->start();
   if (!victims_.empty()) {
     attacker_stop_.store(false);
     attacker_ = std::thread([this] { attacker_main(); });
+    if (::pthread_getcpuclockid(attacker_.native_handle(), &attacker_clock_) !=
+        0) {
+      attacker_clock_ = {};
+    }
   }
 }
 
@@ -193,11 +184,16 @@ void Swarm::stop() {
   started_ = false;
   attacker_stop_.store(true);
   if (attacker_.joinable()) attacker_.join();
-  if (reactor_) {
-    reactor_->stop();
-  } else {
-    for (auto& live : nodes_) live.runner->stop();
-  }
+  reactor_->stop();
+}
+
+double Swarm::attacker_cpu_s() const {
+  check::MutexLock lifecycle(lifecycle_mu_);
+  if (!attacker_.joinable()) return 0.0;
+  timespec ts{};
+  if (::clock_gettime(attacker_clock_, &ts) != 0) return 0.0;
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
 void Swarm::run_for(std::chrono::milliseconds d) {
@@ -207,6 +203,7 @@ void Swarm::run_for(std::chrono::milliseconds d) {
   }
   rusage ru0{};
   ::getrusage(RUSAGE_SELF, &ru0);
+  const double attacker0 = attacker_cpu_s();
   const auto t0 = Clock::now();
   const auto end = t0 + d;
   measuring_.store(true);
@@ -219,21 +216,20 @@ void Swarm::run_for(std::chrono::milliseconds d) {
   auto next_send = t0;
   while (Clock::now() < end) {
     put_u64(payload.data(), static_cast<std::uint64_t>(now_us()));
-    if (reactor_) {
-      reactor_->multicast(0, util::ByteSpan(payload));
-    } else {
-      nodes_[0].runner->multicast(util::ByteSpan(payload));
-    }
+    reactor_->multicast(0, util::ByteSpan(payload));
     next_send += send_interval;
     std::this_thread::sleep_until(std::min(next_send, end));
   }
 
   measuring_.store(false);
+  const double attacker1 = attacker_cpu_s();
   rusage ru1{};
   ::getrusage(RUSAGE_SELF, &ru1);
   wall_s_ += std::chrono::duration<double>(Clock::now() - t0).count();
   cpu_user_s_ += tv_to_s(ru1.ru_utime) - tv_to_s(ru0.ru_utime);
   cpu_sys_s_ += tv_to_s(ru1.ru_stime) - tv_to_s(ru0.ru_stime);
+  // A stop() racing the window leaves no end reading; bill nothing then.
+  if (attacker1 >= attacker0) attacker_cpu_s_ += attacker1 - attacker0;
 }
 
 void Swarm::attacker_main() {
@@ -389,16 +385,12 @@ void Swarm::attacker_main() {
 SwarmReport Swarm::report() const {
   SwarmReport r;
   r.nodes = nodes_.size();
-  if (cfg_.reactor) {
-    const std::size_t sh = std::max<std::size_t>(1, reactor_->shard_count());
-    r.shards = sh;
-    r.threads = sh >= 2 ? sh : 1 + cfg_.workers;
-  } else {
-    r.threads = nodes_.size();
-  }
+  r.shards = reactor_->shard_count();
+  r.threads = r.shards;
   r.wall_s = wall_s_;
   r.cpu_user_s = cpu_user_s_;
   r.cpu_sys_s = cpu_sys_s_;
+  r.attacker_cpu_s = attacker_cpu_s_;
   obs::MetricsRegistry merged;
   for (const auto& live : nodes_) merged.merge(live.node->registry());
   r.rounds = merged.counter_value("runner.ticks");
@@ -406,6 +398,7 @@ SwarmReport Swarm::report() const {
   r.delivered = merged.counter_value("node.delivered");
   r.attack_datagrams = attack_sent_.load();
   r.ingress_datagrams = merged.counter_value("node.datagrams_read") +
+                        merged.counter_value("node.score_overflow_reads") +
                         merged.counter_value("node.flushed_unread") +
                         merged.counter_value("score.greylist_drops");
   r.colluders = colluder_ids_.size();
@@ -425,7 +418,7 @@ SwarmReport Swarm::report() const {
     r.latency_ms_p90 = latency_ms_.percentile(0.90);
     r.latency_ms_p99 = latency_ms_.percentile(0.99);
   }
-  if (reactor_) r.loop_metrics_json = reactor_->loop_registry().to_json();
+  r.loop_metrics_json = reactor_->loop_registry().to_json();
   return r;
 }
 

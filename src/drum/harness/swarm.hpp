@@ -3,14 +3,9 @@
 // Cluster simulates the paper's experiments in virtual time; Swarm runs the
 // same protocol nodes against the wall clock to measure the *runtime* itself:
 // how many nodes one process sustains, at what thread count and CPU cost, and
-// with what delivery latency — the ReactorRuntime's reason to exist. Two
-// execution modes over identical node code:
-//
-//  * reactor (default): one ReactorRuntime hosts every node — a single event
-//    loop plus a small worker pool, or (shards >= 2, DESIGN.md §13) one
-//    independent event-loop shard per core with SPSC cross-shard handoff;
-//  * thread-per-node baseline: one NodeRunner (and thus one thread) per node,
-//    the deployment shape the paper's per-machine JVMs imply.
+// with what delivery latency — the ReactorRuntime's reason to exist. One
+// ReactorRuntime hosts every node on `shards` event-loop threads
+// (DESIGN.md §13).
 //
 // An adversary thread drives one strategy from the drum::adversary registry
 // — the same registry the Monte-Carlo simulator uses — against the attacked
@@ -23,9 +18,13 @@
 //
 // Delivery latency is measured end-to-end in wall time: the source embeds a
 // steady-clock timestamp in each payload's first 8 bytes; every delivery
-// callback subtracts it. examples/swarm.cpp turns the report into
+// callback subtracts it. CPU is the defender's: the attacker thread's own
+// CPU clock is read at both ends of the window and taken out of the
+// process's getrusage figure. examples/swarm.cpp turns the report into
 // BENCH_reactor.json.
 #pragma once
+
+#include <time.h>
 
 #include <atomic>
 #include <chrono>
@@ -43,7 +42,6 @@
 #include "drum/net/mem_transport.hpp"
 #include "drum/obs/metrics.hpp"
 #include "drum/runtime/reactor.hpp"
-#include "drum/runtime/runner.hpp"
 #include "drum/util/rng.hpp"
 #include "drum/util/stats.hpp"
 
@@ -64,12 +62,8 @@ struct SwarmConfig {
   std::size_t payload_size = 64;  ///< bytes; >= 8 (timestamp header)
   bool use_udp = false;         ///< real loopback UDP instead of mem net
   std::uint16_t udp_base_port = 31000;
-  bool reactor = true;          ///< false: thread-per-node baseline
-  std::size_t workers = 2;      ///< reactor worker threads (0 = loop only)
-  /// Reactor shards (DESIGN.md §13): 1 = single event loop + `workers`
-  /// worker pool (the legacy shape); 0 = one shard per hardware core;
-  /// >= 2 = that many shards, each an independent event-loop thread owning
-  /// a disjoint slice of the nodes (`workers` is ignored then).
+  /// Reactor shards (DESIGN.md §13), each an event-loop thread owning a
+  /// disjoint slice of the nodes; 0 = one shard per hardware core.
   std::size_t shards = 1;
   /// Derive every pairwise key at construction (a join-time cost in the
   /// paper's model, so benchmarks do not bill X25519 bootstrap to the
@@ -101,23 +95,28 @@ struct SwarmConfig {
 /// What one measurement window produced. All times are wall-clock.
 struct SwarmReport {
   std::size_t nodes = 0;
-  /// Threads the runtime spawned to execute protocol nodes (loop + workers
-  /// for the single-loop reactor; one per shard when sharded; n for the
-  /// baseline). Excludes the attacker and the caller.
+  /// Threads the runtime spawned to execute protocol nodes: one per shard.
+  /// Excludes the attacker and the caller.
   std::size_t threads = 0;
-  /// Reactor shards that actually ran (after auto-resolution); 0 in
-  /// baseline mode.
+  /// Reactor shards that actually ran (after auto-resolution).
   std::size_t shards = 0;
   double wall_s = 0.0;
-  double cpu_user_s = 0.0;  ///< getrusage(RUSAGE_SELF) delta over the window
+  /// getrusage(RUSAGE_SELF) deltas over the window: the whole process,
+  /// attacker thread included.
+  double cpu_user_s = 0.0;
   double cpu_sys_s = 0.0;
+  /// The attacker thread's CPU over the window (its CLOCK_THREAD_CPUTIME
+  /// clock, user + system). Readiness callbacks the attacker's sends
+  /// trigger on the mem network run on its thread and land here too.
+  double attacker_cpu_s = 0.0;
   std::uint64_t rounds = 0;     ///< sum of node round ticks
   std::uint64_t polls = 0;      ///< sum of poll() invocations
   std::uint64_t delivered = 0;  ///< application deliveries (all nodes)
   std::uint64_t attack_datagrams = 0;
-  /// Datagrams the ingress path disposed of: budgeted reads + round-end
-  /// flushes + greylist peek-drops. The numerator of the pipeline's
-  /// datagrams/sec figure — it counts work retired, not work offered.
+  /// Datagrams the ingress path disposed of: budgeted reads + over-budget
+  /// scored reads + round-end flushes + greylist peek-drops. The numerator
+  /// of the pipeline's datagrams/sec figure — it counts work retired, not
+  /// work offered.
   std::uint64_t ingress_datagrams = 0;
   /// Scoring layer (zero when disabled): frames dropped pre-budget because
   /// the claimed sender was greylisted, cumulative greylist entries across
@@ -131,12 +130,14 @@ struct SwarmReport {
   double latency_ms_p50 = 0.0;
   double latency_ms_p90 = 0.0;
   double latency_ms_p99 = 0.0;
-  /// Event-loop telemetry ("loop.*", "reactor.timer_resyncs") as JSON;
-  /// "{}" in baseline mode.
+  /// Event-loop telemetry ("loop.*", "reactor.*") as JSON.
   std::string loop_metrics_json = "{}";
 
-  [[nodiscard]] double cpu_total_s() const { return cpu_user_s + cpu_sys_s; }
-  /// Process CPU utilization over the window (1.0 = one saturated core).
+  /// The defender's CPU: the process's, less the attacker thread's.
+  [[nodiscard]] double cpu_total_s() const {
+    return cpu_user_s + cpu_sys_s - attacker_cpu_s;
+  }
+  /// Defender CPU utilization over the window (1.0 = one saturated core).
   [[nodiscard]] double cpu_util() const {
     return wall_s > 0 ? cpu_total_s() / wall_s : 0.0;
   }
@@ -144,8 +145,9 @@ struct SwarmReport {
   [[nodiscard]] double ingress_datagrams_per_sec() const {
     return wall_s > 0 ? static_cast<double>(ingress_datagrams) / wall_s : 0.0;
   }
-  /// CPU milliseconds burned per delivered message (lower is better) — the
-  /// paper's cost-of-defense lens: a flood wins by inflating this.
+  /// Defender CPU milliseconds burned per delivered message (lower is
+  /// better) — the paper's cost-of-defense lens: a flood wins by inflating
+  /// this.
   [[nodiscard]] double cpu_ms_per_delivered() const {
     return delivered > 0 ? cpu_total_s() * 1e3 / static_cast<double>(delivered)
                          : 0.0;
@@ -179,11 +181,13 @@ class Swarm {
     std::uint32_t id = 0;
     std::unique_ptr<net::Transport> transport;
     std::unique_ptr<core::Node> node;
-    std::unique_ptr<runtime::NodeRunner> runner;  // baseline mode only
   };
 
   void on_delivery(std::uint32_t node_id, const core::Node::Delivery& d);
   void attacker_main();
+  /// The attacker thread's CPU so far, in seconds; 0 when it is not
+  /// running.
+  double attacker_cpu_s() const;
 
   SwarmConfig cfg_;
   util::Rng rng_;
@@ -194,7 +198,7 @@ class Swarm {
   /// Tail ids whose identities the attacker holds (no live node).
   std::vector<std::uint32_t> colluder_ids_;
   std::vector<crypto::Identity> colluder_identities_;
-  std::unique_ptr<runtime::ReactorRuntime> reactor_;  // reactor mode only
+  std::unique_ptr<runtime::ReactorRuntime> reactor_;
 
   /// Per-node delivery activity, written by delivery callbacks (any runtime
   /// thread) and read by the attacker thread to build the adaptive
@@ -204,11 +208,12 @@ class Swarm {
 
   /// Serializes start()/stop() and owns the attacker thread handle. Without
   /// it, two concurrent stop() calls both saw started_ == true and both
-  /// joined attacker_ — undefined behavior (the PR-2 lifecycle race had the
-  /// same shape in NodeRunner).
+  /// joined attacker_ — undefined behavior.
   mutable check::Mutex lifecycle_mu_;
   bool started_ DRUM_GUARDED_BY(lifecycle_mu_) = false;
   std::thread attacker_ DRUM_GUARDED_BY(lifecycle_mu_);
+  /// attacker_'s CPU-time clock; valid while attacker_ is joinable.
+  clockid_t attacker_clock_ DRUM_GUARDED_BY(lifecycle_mu_){};
   /// Built in the constructor (fail fast on unknown names); plan_round()
   /// runs on the attacker thread only.
   std::unique_ptr<adversary::Adversary> adversary_;
@@ -224,6 +229,7 @@ class Swarm {
   double wall_s_ = 0.0;
   double cpu_user_s_ = 0.0;
   double cpu_sys_s_ = 0.0;
+  double attacker_cpu_s_ = 0.0;
 };
 
 }  // namespace drum::harness

@@ -56,14 +56,12 @@ EventLoop::~EventLoop() {
 void EventLoop::set_registry(obs::MetricsRegistry* registry) {
   registry_ = registry;
   if (!registry) {
-    m_wakeups_ = m_fd_events_ = m_mem_ready_ = m_posts_ = m_timers_fired_ =
-        nullptr;
+    m_wakeups_ = m_fd_events_ = m_posts_ = m_timers_fired_ = nullptr;
     m_timer_slop_us_ = nullptr;
     return;
   }
   m_wakeups_ = &registry->counter("loop.wakeups");
   m_fd_events_ = &registry->counter("loop.fd_events");
-  m_mem_ready_ = &registry->counter("loop.mem_ready");
   m_posts_ = &registry->counter("loop.posts");
   m_timers_fired_ = &registry->counter("loop.timers_fired");
   m_timer_slop_us_ = &registry->histogram("loop.timer_slop_us");
@@ -82,72 +80,37 @@ void EventLoop::set_cycle_callback(Callback fn) {
 
 EventLoop::SourceId EventLoop::add_socket(Socket& sock, Callback on_ready) {
   DRUM_REQUIRE(on_ready != nullptr, "add_socket requires a callback");
-  const bool has_fd = sock.native_handle() >= 0;
+  const int fd = sock.native_handle();
+  DRUM_REQUIRE(fd >= 0, "add_socket requires an fd socket");
   SourceId id = 0;
   {
     check::MutexLock lock(mu_);
     id = next_id_++;
-    Source src;
-    src.sock = &sock;
-    src.fd = sock.native_handle();
-    src.on_ready = std::move(on_ready);
-    sources_.emplace(id, std::move(src));
-    if (has_fd) {
-      epoll_event ev{};
-      // Edge-triggered: each datagram arrival re-arms the event (UDP's
-      // sk_data_ready fires per packet), so stale unread backlog — a node
-      // out of budget mid-round — does not busy-spin the loop.
-      ev.events = EPOLLIN | EPOLLET;
-      ev.data.u64 = id;
-      if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, sock.native_handle(), &ev) !=
-          0) {
-        DRUM_DEBUG << "EventLoop: epoll_ctl ADD failed: "
-                   << std::strerror(errno);
-      }
-      // The fd may already hold datagrams that arrived before registration;
-      // ET would never report them. Queue one initial dispatch.
-      sources_[id].ready_pending = true;
-      mem_ready_.push_back(id);
+    sources_.emplace(id, Source{fd, std::move(on_ready)});
+    epoll_event ev{};
+    // Edge-triggered: each datagram arrival re-arms the event (UDP's
+    // sk_data_ready fires per packet), so stale unread backlog — a node
+    // out of budget mid-round — does not busy-spin the loop.
+    ev.events = EPOLLIN | EPOLLET;
+    ev.data.u64 = id;
+    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
+      DRUM_DEBUG << "EventLoop: epoll_ctl ADD failed: "
+                 << std::strerror(errno);
     }
+    // The fd may already hold datagrams that arrived before registration;
+    // ET would never report them. Queue one initial dispatch.
+    catch_up_.push_back(id);
   }
-  if (has_fd) {
-    wake();
-  } else {
-    // The bridge: flag + eventfd from whatever thread delivers. Installed
-    // outside mu_ — set_ready_callback takes the transport's own lock.
-    sock.set_ready_callback([this, id] { notify_source(id); });
-    // Same catch-up for datagrams delivered before the bridge attached.
-    notify_source(id);
-  }
+  wake();
   return id;
 }
 
 void EventLoop::remove_socket(SourceId id) {
-  Socket* detach = nullptr;
-  {
-    check::MutexLock lock(mu_);
-    auto it = sources_.find(id);
-    if (it == sources_.end()) return;
-    if (it->second.fd >= 0) {
-      ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, it->second.fd, nullptr);
-    } else {
-      detach = it->second.sock;
-    }
-    sources_.erase(it);
-  }
-  // Outside the lock: set_ready_callback takes the transport's own lock.
-  if (detach) detach->set_ready_callback(nullptr);
-}
-
-void EventLoop::notify_source(SourceId id) {
-  {
-    check::MutexLock lock(mu_);
-    auto it = sources_.find(id);
-    if (it == sources_.end() || it->second.ready_pending) return;
-    it->second.ready_pending = true;
-    mem_ready_.push_back(id);
-  }
-  wake();
+  check::MutexLock lock(mu_);
+  auto it = sources_.find(id);
+  if (it == sources_.end()) return;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, it->second.fd, nullptr);
+  sources_.erase(it);
 }
 
 void EventLoop::arm_timerfd() {
@@ -246,15 +209,12 @@ void EventLoop::run() {
           }
         }
       }
-      // Bridge-flagged sources (MemSocket deliveries + fd catch-ups).
-      for (SourceId id : mem_ready_) {
+      // Catch-up dispatch for sources registered since the last iteration.
+      for (SourceId id : catch_up_) {
         auto it = sources_.find(id);
-        if (it == sources_.end()) continue;
-        it->second.ready_pending = false;
-        ready_cbs.push_back(it->second.on_ready);
-        if (m_mem_ready_) m_mem_ready_->inc();
+        if (it != sources_.end()) ready_cbs.push_back(it->second.on_ready);
       }
-      mem_ready_.clear();
+      catch_up_.clear();
       post_cbs.swap(posts_);
     }
 

@@ -4,12 +4,12 @@
 // One loop multiplexes three event kinds:
 //  * fd sockets (UdpSocket): registered with epoll, edge-triggered — each
 //    arriving datagram re-arms the event, so a budget-exhausted node that
-//    stops reading does not spin the loop;
-//  * fd-less sockets (MemSocket): a wakeup bridge — the socket's
-//    set_ready_callback() flags the source and signals the loop's eventfd
-//    from the sender's thread;
+//    stops reading does not spin the loop. fd-less sockets (MemSocket) are
+//    not registered here: they signal readiness through their own
+//    set_ready_callback(), which the runtime wires to its dispatch;
 //  * timers: a deadline-ordered queue backed by one timerfd armed to the
-//    earliest deadline (absolute CLOCK_MONOTONIC, so no drift accumulates).
+//    earliest deadline (absolute CLOCK_MONOTONIC, so no drift accumulates);
+//  * posted callbacks and wake() nudges, through one eventfd.
 //
 // Threading contract: run() executes on exactly one thread and all event
 // callbacks are invoked there, serially. Registration (add_socket /
@@ -22,8 +22,7 @@
 // DRUM_GUARDED_BY (see drum/check/annotations.hpp, DESIGN.md §11).
 //
 // Telemetry (set_registry, written by the loop thread only): "loop.wakeups",
-// "loop.fd_events", "loop.mem_ready", "loop.posts", "loop.timers_fired"
-// counters and the "loop.timer_slop_us" histogram (how late each timer
+// "loop.fd_events", "loop.posts", "loop.timers_fired" counters and the "loop.timer_slop_us" histogram (how late each timer
 // fired vs its deadline).
 #pragma once
 
@@ -54,10 +53,12 @@ class EventLoop {
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
-  /// Registers a socket for readiness dispatch: `on_ready` runs on the loop
-  /// thread whenever the socket (may) have datagrams to read. Spurious
-  /// invocations are possible; the callback drains with recv()/recv_batch()
-  /// until empty. The socket must stay alive until remove_socket().
+  /// Registers an fd socket (native_handle() >= 0) for readiness dispatch:
+  /// `on_ready` runs on the loop thread whenever the socket (may) have
+  /// datagrams to read, once right after registration included (catch-up
+  /// for datagrams that arrived earlier). Spurious invocations are
+  /// possible; the callback drains with recv()/recv_batch() until empty.
+  /// The socket must stay alive until remove_socket().
   SourceId add_socket(Socket& sock, Callback on_ready);
   /// Unregisters; the socket may be destroyed afterwards. Idempotent.
   void remove_socket(SourceId id);
@@ -111,23 +112,23 @@ class EventLoop {
 
  private:
   struct Source {
-    Socket* sock = nullptr;
-    int fd = -1;                ///< -1: fd-less, uses the wakeup bridge
+    int fd = -1;
     Callback on_ready;
-    bool ready_pending = false; ///< mem bridge: already queued this cycle
   };
 
-  void notify_source(SourceId id);  // mem bridge, any thread
   void arm_timerfd() DRUM_REQUIRES(mu_);
 
   int epoll_fd_ = -1;
-  int wake_fd_ = -1;   ///< eventfd: posts, stop, mem-socket readiness
+  int wake_fd_ = -1;   ///< eventfd: posts, wake(), stop
   int timer_fd_ = -1;  ///< timerfd armed to the earliest deadline
 
   check::Mutex mu_;
   std::uint64_t next_id_ DRUM_GUARDED_BY(mu_) = 2;  // 0/1 = fd sentinels
   std::unordered_map<SourceId, Source> sources_ DRUM_GUARDED_BY(mu_);
-  std::vector<SourceId> mem_ready_ DRUM_GUARDED_BY(mu_);
+  /// Sources registered since the last iteration: each gets one catch-up
+  /// dispatch, because edge-triggered epoll never reports datagrams that
+  /// arrived before registration.
+  std::vector<SourceId> catch_up_ DRUM_GUARDED_BY(mu_);
   std::vector<Callback> posts_ DRUM_GUARDED_BY(mu_);
   struct Timer {
     TimerId id;
@@ -148,7 +149,6 @@ class EventLoop {
   obs::MetricsRegistry* registry_ = nullptr;
   obs::Counter* m_wakeups_ = nullptr;
   obs::Counter* m_fd_events_ = nullptr;
-  obs::Counter* m_mem_ready_ = nullptr;
   obs::Counter* m_posts_ = nullptr;
   obs::Counter* m_timers_fired_ = nullptr;
   obs::Histogram* m_timer_slop_us_ = nullptr;

@@ -212,7 +212,7 @@ bool MemNetwork::admit(Queue& dst, const Address& from,
 void MemNetwork::deliver(const Address& from, const Address& to,
                          util::ByteSpan payload) {
   // The ready callback fires outside every lock: it typically reaches into
-  // a reactor shard (an SPSC ring push, or an EventLoop's own mutex +
+  // a reactor shard (an SPSC ring push, or an EventLoop's post queue +
   // eventfd), and holding network locks across foreign code invites
   // lock-order cycles.
   std::function<void()> notify;

@@ -16,9 +16,9 @@
 //
 // Readiness: sockets are still pull-only (recv() never blocks), but they can
 // announce that pulling would succeed. Sockets backed by a real fd expose it
-// via native_handle() for epoll; fd-less sockets (MemTransport) accept a
-// ready-callback instead. drum::net::EventLoop consumes both — see
-// event_loop.hpp and DESIGN.md §8.
+// via native_handle() for epoll (drum::net::EventLoop); fd-less sockets
+// (MemTransport) accept a ready-callback instead, which the reactor runtime
+// wires to its dispatch — see DESIGN.md §8 and §13.
 #pragma once
 
 #include <cstdint>
@@ -94,14 +94,14 @@ class Socket {
   [[nodiscard]] virtual Address local() const = 0;
 
   /// OS-pollable file descriptor, or -1 when the transport has none
-  /// (MemTransport). An EventLoop registers fds with epoll and falls back to
-  /// set_ready_callback() otherwise.
+  /// (MemTransport). An EventLoop registers fds with epoll; fd-less sockets
+  /// signal readiness through set_ready_callback() instead.
   [[nodiscard]] virtual int native_handle() const { return -1; }
 
   /// Readiness bridge for fd-less sockets: `cb` is invoked whenever a
   /// datagram lands in this socket's receive queue, *possibly from another
   /// thread* (the sender's). The callback must be cheap and lock-light — the
-  /// EventLoop's bridge just flags the source and signals an eventfd. Pass
+  /// reactor's pushes the node onto its shard's ready list or ring. Pass
   /// nullptr to detach. Sockets with a native_handle ignore this.
   virtual void set_ready_callback(std::function<void()> cb) { (void)cb; }
 };

@@ -12,16 +12,10 @@ using std::chrono::microseconds;
 
 namespace {
 
-/// Nodes popped per queue critical section (shards == 1 worker path).
-/// Bounding the batch keeps other workers fed under load while still giving
-/// verify() a cross-node window: 8 nodes × a few frames each already fills
-/// the Ed25519 batch ladder.
-constexpr std::size_t kWorkerBatch = 8;
-
-/// Nodes per drain/verify/ingest pass on a shard thread. Wider than the
-/// worker batch (there are no co-workers to feed), narrower than "everything
-/// this cycle" so a flood against one shard still bounds per-pass latency
-/// and batch memory.
+/// Nodes per drain/verify/ingest pass on a shard thread: wide enough that a
+/// few frames per node fill the Ed25519 batch ladder, narrower than
+/// "everything this cycle" so a flood against one shard still bounds
+/// per-pass latency and batch memory.
 constexpr std::size_t kShardBatch = 64;
 
 /// Which shard's loop thread we are on, if any. dispatch() keys the
@@ -40,8 +34,6 @@ ReactorRuntime::ReactorRuntime(ReactorConfig cfg) : cfg_(cfg) {
   DRUM_REQUIRE(cfg.round.count() > 0, "round duration must be positive");
   DRUM_REQUIRE(cfg.jitter >= 0.0 && cfg.jitter < 1.0,
                "jitter must be in [0, 1): ", cfg.jitter);
-  loop_.set_registry(&loop_registry_);
-  m_resyncs_ = &loop_registry_.counter("reactor.timer_resyncs");
 }
 
 ReactorRuntime::~ReactorRuntime() { stop(); }
@@ -70,39 +62,7 @@ Clock::duration ReactorRuntime::jittered_round(NodeState& st) {
   return duration_cast<Clock::duration>(cfg_.round * j);
 }
 
-net::EventLoop& ReactorRuntime::home_loop(NodeState& st) {
-  return sharded_.load(std::memory_order_relaxed) ? shards_[st.shard]->loop
-                                                  : loop_;
-}
-
 void ReactorRuntime::install_hooks(NodeState& st) {
-  NodeState* stp = &st;
-  check::MutexLock node_lock(st.mu);
-  // Replays existing sockets immediately and fires again on every per-round
-  // random-port rotation (from a worker, inside on_round, under st.mu).
-  st.node->set_socket_hook([this, stp](net::Socket& sock, bool added) {
-    if (added) {
-      auto id = loop_.add_socket(sock, [this, stp] {
-        stp->ready.store(true);
-        dispatch(*stp);
-      });
-      check::MutexLock lock(sources_mu_);
-      sources_[&sock] = id;
-    } else {
-      net::EventLoop::SourceId id = 0;
-      {
-        check::MutexLock lock(sources_mu_);
-        auto it = sources_.find(&sock);
-        if (it == sources_.end()) return;
-        id = it->second;
-        sources_.erase(it);
-      }
-      loop_.remove_socket(id);
-    }
-  });
-}
-
-void ReactorRuntime::install_hooks_sharded(NodeState& st) {
   NodeState* stp = &st;
   Shard* sh = shards_[st.shard].get();
   std::shared_ptr<CallbackGate> gate = gate_;
@@ -120,18 +80,17 @@ void ReactorRuntime::install_hooks_sharded(NodeState& st) {
         check::MutexLock lock(sh->sources_mu);
         sh->sources[&sock] = id;
       } else {
-        // MemSocket: bypass the loop's mem bridge (whose notify path takes
-        // the consumer loop's mutex from the sender's thread) and route the
-        // readiness edge through dispatch() directly — same-shard sends
-        // stay thread-local, cross-shard sends ride the SPSC ring.
+        // MemSocket: the readiness edge goes through dispatch() directly
+        // from the sender's thread — same-shard sends stay thread-local,
+        // cross-shard sends ride the SPSC ring.
         {
           check::MutexLock lock(sh->sources_mu);
           sh->sources[&sock] = 0;  // 0: no loop registration to undo
         }
         sock.set_ready_callback([this, stp, gate] {
-          // Announce the entry before checking the gate: stop_sharded()
-          // closes it and then waits for `inside` to drain, so either it
-          // sees this call or this call sees the gate closed.
+          // Announce the entry before checking the gate: stop() closes it
+          // and then waits for `inside` to drain, so either it sees this
+          // call or this call sees the gate closed.
           gate->inside.fetch_add(1);
           if (gate->open.load()) {
             stp->ready.store(true);
@@ -164,13 +123,13 @@ void ReactorRuntime::install_hooks_sharded(NodeState& st) {
 void ReactorRuntime::arm_first_tick(NodeState& st) {
   st.next_deadline = Clock::now() + jittered_round(st);
   st.last_tick = Clock::now();
-  st.timer_id = home_loop(st).add_timer(st.next_deadline,
-                                        [this, &st] { on_round_timer(st); });
+  st.timer_id = shards_[st.shard]->loop.add_timer(
+      st.next_deadline, [this, &st] { on_round_timer(st); });
 }
 
 void ReactorRuntime::on_round_timer(NodeState& st) {
-  st.fire_us.store(
-      duration_cast<microseconds>(Clock::now().time_since_epoch()).count());
+  st.fire_us =
+      duration_cast<microseconds>(Clock::now().time_since_epoch()).count();
   st.round_due.store(true);
   dispatch(st);
   // Drift-free re-arm: the next deadline grows from the previous *deadline*,
@@ -181,35 +140,18 @@ void ReactorRuntime::on_round_timer(NodeState& st) {
   auto now = Clock::now();
   if (st.next_deadline <= now) {
     st.next_deadline = now + jittered_round(st);
-    if (sharded_.load(std::memory_order_relaxed)) {
-      shards_[st.shard]->m_resyncs->inc();
-    } else {
-      m_resyncs_->inc();
-    }
+    shards_[st.shard]->m_resyncs->inc();
   }
-  st.timer_id = home_loop(st).add_timer(st.next_deadline,
-                                        [this, &st] { on_round_timer(st); });
+  st.timer_id = shards_[st.shard]->loop.add_timer(
+      st.next_deadline, [this, &st] { on_round_timer(st); });
 }
 
 void ReactorRuntime::dispatch(NodeState& st) {
-  // `scheduled` only dedups queue/ring entries. A notifier that loses this
-  // race is covered: the winner clears `scheduled` before draining the
-  // flags, so any flag set after that drain finds `scheduled` false and
-  // re-enqueues.
+  // `scheduled` only dedups ready-list/ring/post entries. A notifier that
+  // loses this race is covered: the winner clears `scheduled` before
+  // draining the flags, so any flag set after that drain finds `scheduled`
+  // false and re-enqueues.
   if (st.scheduled.exchange(true)) return;
-  if (!sharded_.load(std::memory_order_relaxed)) {
-    if (inline_dispatch_.load(std::memory_order_relaxed)) {
-      run_node(st);
-      return;
-    }
-    {
-      check::MutexLock lock(queue_mu_);
-      queue_.push_back(&st);
-    }
-    queue_cv_.notify_one();
-    return;
-  }
-
   Shard& home = *shards_[st.shard];
   if (tls_shard.owner == this) {
     const std::size_t from = tls_shard.index;
@@ -241,20 +183,15 @@ void ReactorRuntime::dispatch(NodeState& st) {
     // Fall through: the ring is transiently overfull — the loop's post queue
     // is the unbounded safety valve.
   }
-  // External threads (harness, attacker, with_node-triggered rotations) and
-  // ring-full fallbacks go through the home loop's post queue.
+  // External threads (harness, attacker, another runtime's shards,
+  // with_node-triggered rotations) and ring-full fallbacks go through the
+  // home loop's post queue.
   home.loop.post([this, &st] { shards_[st.shard]->ready.push_back(&st); });
 }
 
-void ReactorRuntime::run_node(NodeState& st) {
-  NodeState* stp = &st;
-  run_batch(std::span<NodeState* const>(&stp, 1), inline_batch_,
-            inline_scratch_);
-}
-
-void ReactorRuntime::run_batch(std::span<NodeState* const> sts,
-                               core::ingress::IngressBatch& batch,
-                               std::vector<Drained>& scratch) {
+void ReactorRuntime::run_batch(Shard& sh, std::span<NodeState* const> sts) {
+  core::ingress::IngressBatch& batch = sh.batch;
+  std::vector<Drained>& scratch = sh.drain_scratch;
   scratch.clear();
 
   // Phase 1 — drain. Each node is held only long enough to move its backlog
@@ -279,7 +216,7 @@ void ReactorRuntime::run_batch(std::span<NodeState* const> sts,
         st.m_tick_interval_us->record(static_cast<std::uint64_t>(gap));
         auto now_us =
             duration_cast<microseconds>(now.time_since_epoch()).count();
-        auto slop = now_us - st.fire_us.load();
+        auto slop = now_us - st.fire_us;
         st.m_dispatch_us->record(
             static_cast<std::uint64_t>(slop < 0 ? 0 : slop));
         st.last_tick = now;
@@ -299,7 +236,7 @@ void ReactorRuntime::run_batch(std::span<NodeState* const> sts,
 
   // Phase 2 — the wide crypto pass: every signature and every port box the
   // drain produced, across ALL nodes, in one batch. No node lock is held
-  // here, so co-workers keep draining and round ticks keep firing.
+  // here, so multicast() and with_node() from other threads proceed.
   batch.verify();
 
   // Phase 3 — push the verified frames back in, per node, serialized again.
@@ -318,29 +255,6 @@ void ReactorRuntime::run_batch(std::span<NodeState* const> sts,
     }
   }
   batch.clear();
-}
-
-void ReactorRuntime::worker_main() {
-  std::vector<NodeState*> popped;
-  popped.reserve(kWorkerBatch);
-  std::vector<Drained> scratch;
-  scratch.reserve(kWorkerBatch);
-  core::ingress::IngressBatch batch;
-  for (;;) {
-    popped.clear();
-    {
-      check::MutexLock lock(queue_mu_);
-      queue_cv_.wait(lock, [this]() DRUM_REQUIRES(queue_mu_) {
-        return workers_stop_ || !queue_.empty();
-      });
-      if (workers_stop_ && queue_.empty()) return;
-      while (!queue_.empty() && popped.size() < kWorkerBatch) {
-        popped.push_back(queue_.front());
-        queue_.pop_front();
-      }
-    }
-    run_batch(popped, batch, scratch);
-  }
 }
 
 void ReactorRuntime::drain_rings(Shard& sh) {
@@ -368,8 +282,7 @@ void ReactorRuntime::shard_cycle(Shard& sh) {
     std::size_t i = 0;
     while (i < sh.proc.size()) {
       const std::size_t n = std::min(kShardBatch, sh.proc.size() - i);
-      run_batch(std::span<NodeState* const>(sh.proc.data() + i, n), sh.batch,
-                sh.drain_scratch);
+      run_batch(sh, std::span<NodeState* const>(sh.proc.data() + i, n));
       sh.m_batches->inc();
       i += n;
     }
@@ -402,55 +315,12 @@ void ReactorRuntime::shard_cycle(Shard& sh) {
 void ReactorRuntime::start() {
   check::MutexLock lifecycle(lifecycle_mu_);
   if (running_.exchange(true)) return;
-  std::size_t n = cfg_.shards;
-  if (n == 0) {
-    n = std::thread::hardware_concurrency();
-    if (n == 0) n = 1;
+  std::size_t n_shards = cfg_.shards;
+  if (n_shards == 0) {
+    n_shards = std::thread::hardware_concurrency();
+    if (n_shards == 0) n_shards = 1;
   }
-  n_shards_.store(n, std::memory_order_relaxed);
-  sharded_.store(n >= 2, std::memory_order_relaxed);
-  // A fresh run has no node in any queue, ring or ready list. A flag left
-  // set by the previous run (say, a readiness edge that landed while stop()
-  // was detaching) would make every dispatch() return early and the node
-  // would never drain again. Installing the hooks below replays readiness.
-  for (auto& st : nodes_) {
-    st.scheduled.store(false);
-    st.ready.store(false);
-    st.round_due.store(false);
-  }
-  if (n >= 2) {
-    start_sharded(n);
-  } else {
-    start_single();
-  }
-}
-
-void ReactorRuntime::start_single() {
-  {
-    check::MutexLock lock(queue_mu_);
-    workers_stop_ = false;
-  }
-  // Workers first so inline-vs-queued dispatch is decided before any event
-  // can fire (dispatch() keys off inline_dispatch_ — the lock-free mirror
-  // of workers_.empty(), which itself stays under lifecycle_mu_).
-  inline_dispatch_.store(cfg_.workers == 0);
-  for (std::size_t i = 0; i < cfg_.workers; ++i) {
-    workers_.emplace_back([this] { worker_main(); });
-  }
-  for (auto& st : nodes_) {
-    // add_socket queues an initial catch-up dispatch per socket, so
-    // datagrams that arrived before start() are polled without an explicit
-    // kick here.
-    install_hooks(st);
-    arm_first_tick(st);
-  }
-  // Clear any stop request left by a previous run; lifecycle_mu_ guarantees
-  // no stop() can race this before the new loop thread is launched.
-  loop_.reset();
-  loop_thread_ = std::thread([this] { loop_.run(); });
-}
-
-void ReactorRuntime::start_sharded(std::size_t n_shards) {
+  n_shards_.store(n_shards, std::memory_order_relaxed);
   shards_.clear();
   gate_ = std::make_shared<CallbackGate>();
   const std::size_t per_shard = (nodes_.size() + n_shards - 1) / n_shards;
@@ -478,13 +348,20 @@ void ReactorRuntime::start_sharded(std::size_t n_shards) {
   }
   std::size_t id = 0;
   for (auto& st : nodes_) {
+    // A fresh run has no node in any ring or ready list. A flag left set by
+    // the previous run (say, a readiness edge that landed while stop() was
+    // detaching) would make every dispatch() return early and the node
+    // would never drain again. Installing the hooks replays readiness: fd
+    // sockets get a catch-up dispatch from add_socket, MemSockets one here.
+    st.scheduled.store(false);
+    st.ready.store(false);
+    st.round_due.store(false);
     st.shard = id++ % n_shards;
-    install_hooks_sharded(st);
+    install_hooks(st);
     arm_first_tick(st);
   }
   for (auto& shp : shards_) {
     Shard* sh = shp.get();
-    sh->loop.reset();
     sh->thread = std::thread([this, sh] {
       tls_shard = TlsShard{this, sh->index};
       sh->loop.run();
@@ -496,42 +373,6 @@ void ReactorRuntime::start_sharded(std::size_t n_shards) {
 void ReactorRuntime::stop() {
   check::MutexLock lifecycle(lifecycle_mu_);
   if (!running_.load()) return;
-  if (sharded_.load(std::memory_order_relaxed)) {
-    stop_sharded();
-  } else {
-    stop_single();
-  }
-  running_.store(false);
-}
-
-void ReactorRuntime::stop_single() {
-  loop_.stop();
-  if (loop_thread_.joinable()) loop_thread_.join();
-  {
-    check::MutexLock lock(queue_mu_);
-    workers_stop_ = true;
-  }
-  queue_cv_.notify_all();
-  for (auto& w : workers_) {
-    if (w.joinable()) w.join();
-  }
-  workers_.clear();
-  // With all threads quiesced, return the nodes to plain single-threaded
-  // life: cancel round timers (else a restart would burst-fire the stale
-  // backlog), detach the hooks, and unregister every socket.
-  for (auto& st : nodes_) {
-    loop_.cancel_timer(st.timer_id);
-    check::MutexLock node_lock(st.mu);
-    st.node->set_socket_hook(nullptr);
-  }
-  {
-    check::MutexLock lock(sources_mu_);
-    for (auto& [sock, id] : sources_) loop_.remove_socket(id);
-    sources_.clear();
-  }
-}
-
-void ReactorRuntime::stop_sharded() {
   for (auto& sh : shards_) sh->loop.stop();
   for (auto& sh : shards_) {
     if (sh->thread.joinable()) sh->thread.join();
@@ -566,6 +407,7 @@ void ReactorRuntime::stop_sharded() {
   loop_registry_.gauge("reactor.shards")
       .set(static_cast<double>(shards_.size()));
   shards_.clear();
+  running_.store(false);
 }
 
 core::MessageId ReactorRuntime::multicast(NodeId id, util::ByteSpan payload) {

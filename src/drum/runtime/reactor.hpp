@@ -1,40 +1,31 @@
 // ReactorRuntime — event-driven execution of many protocol nodes in one
 // process (DESIGN.md §8, §13).
 //
-// The thread-per-node NodeRunner shape matches the paper's deployment (one
-// JVM per machine) but caps a single-process experiment at a few dozen nodes:
-// each node costs a thread that wakes every poll_interval whether or not
-// datagrams arrived. ReactorRuntime inverts that: a net::EventLoop owns
-// readiness (epoll for UDP sockets, the wakeup bridge for MemTransport, a
-// timerfd-backed deadline queue for round ticks), and node callbacks run only
-// when there is work. 512 nodes plus a flooding adversary fit in one Release
-// process (examples/swarm.cpp).
+// A node runs only when it has work: a net::EventLoop owns readiness (epoll
+// for UDP sockets, a timerfd-backed deadline queue for round ticks) and
+// MemTransport sockets signal readiness straight into dispatch(). 512 nodes
+// plus a flooding adversary fit in one Release process (examples/swarm.cpp).
 //
-// The runtime has two shapes, selected by ReactorConfig::shards:
+// One execution shape: ReactorConfig::shards event-loop threads, each a
+// shard owning a disjoint set of nodes (id % shards) with its own ingress
+// batch, drain scratch and telemetry registry, so the steady-state hot path
+// allocates nothing and contends on no cross-thread mutex. shards == 1 is
+// one such shard hosting every node on one thread; 0 = one shard per
+// hardware core. A dispatch targeting a node homed on another shard crosses
+// over a bounded util::SpscRing (one per ordered shard pair) plus an eventfd
+// nudge when the consumer had gone idle; dispatches from threads outside the
+// runtime (application threads, another runtime's shards) go through the
+// home loop's post queue.
 //
-//  * shards == 1 — the compat anchor: ONE loop plus an optional worker pool
-//    (cfg.workers), exactly the PR-8 runtime. Workers pop nodes from a
-//    mutex-guarded queue in small batches and run the DESIGN.md §12 ingress
-//    pipeline across them.
-//  * shards >= 2 — one EventLoop + thread per shard (DESIGN.md §13). Each
-//    shard owns a disjoint set of nodes (id % shards), its own
-//    ingress batch, drain scratch, and telemetry registry, so the
-//    steady-state hot path allocates nothing and contends on no cross-thread
-//    mutex. A dispatch targeting a node homed on another shard crosses over
-//    a bounded util::SpscRing (one per ordered shard pair) plus an eventfd
-//    nudge when the consumer had gone idle; everything else stays on the
-//    node's home thread. `workers` is ignored — each shard drains its own
-//    nodes on its loop thread. 0 = auto (hardware_concurrency).
-//
-// Serialization contract (both shapes): a core::Node stays single-threaded.
-// Every entry into a node — drain_ingress(), ingest(), on_round(),
-// multicast(), with_node() — happens under that node's own mutex; the
-// scheduled/ready/round_due flags ensure at most one thread drains a node at
-// a time and no readiness edge is lost. In sharded steady state the home
-// thread is the only contender, so the per-node lock is an uncontended CAS —
-// it exists to keep multicast()/with_node() safe from any thread. Delivery
-// callbacks run on whichever thread is currently driving the node and must
-// never re-enter node entry points.
+// Serialization contract: a core::Node stays single-threaded. Every entry
+// into a node — drain_ingress(), ingest(), on_round(), multicast(),
+// with_node() — happens under that node's own mutex; the
+// scheduled/ready/round_due flags ensure a node sits in at most one ready
+// list or ring at a time and no readiness edge is lost. The home thread is
+// the only steady-state contender, so the per-node lock is an uncontended
+// CAS — it exists to keep multicast()/with_node() safe from any thread.
+// Delivery callbacks run on the node's home thread and must never re-enter
+// node entry points.
 //
 // Round ticks are per-node one-shot timers on the node's home loop, re-armed
 // from the previous deadline (next = previous + jittered(round)), never from
@@ -43,18 +34,16 @@
 // instead of burst-firing the backlog; the "reactor.timer_resyncs" counter
 // records each such skip.
 //
-// Telemetry: each node's registry gains the same "runner.*" metrics
-// NodeRunner wrote (ticks, polls, poll_us, tick_interval_us) plus
-// "reactor.dispatch_us". The runtime's own registry (loop_registry()) carries
-// the "loop.*" metrics from net::EventLoop; in sharded mode every shard's
-// loop metrics and its "reactor.shard.*" counters (ring_handoffs, wakeups,
-// ring_full_fallbacks, batches) merge into it at stop(), plus the
+// Telemetry: each node's registry gains "runner.*" metrics (ticks, polls,
+// poll_us, tick_interval_us) plus "reactor.dispatch_us". The runtime's own
+// registry (loop_registry()) receives, at stop(), every shard's "loop.*"
+// metrics from net::EventLoop and its "reactor.shard.*" counters
+// (ring_handoffs, wakeups, ring_full_fallbacks, batches), plus the
 // "reactor.shards" gauge.
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -78,13 +67,9 @@ struct ReactorConfig {
   /// Uniform jitter as a fraction of `round` (+/-): keeps rounds
   /// unsynchronized across nodes (paper §4, §8).
   double jitter = 0.2;
-  /// Worker threads executing node callbacks when shards == 1. 0 dispatches
-  /// inline on the loop thread — one thread total, the NodeRunner-
-  /// compatibility shape. Ignored when the runtime runs sharded.
-  std::size_t workers = 0;
-  /// Reactor shards: 0 = auto (std::thread::hardware_concurrency), 1 = the
-  /// single-loop runtime above, N >= 2 = one loop thread per shard with SPSC
-  /// cross-shard handoff. The resolved value is fixed at start().
+  /// Event-loop threads, one per shard: 0 = auto
+  /// (std::thread::hardware_concurrency), N >= 1 = N shards. The resolved
+  /// value is fixed at start().
   std::size_t shards = 0;
   /// Record "runner.*" / "reactor.*" timing into each node's registry.
   bool instrument = true;
@@ -107,7 +92,7 @@ class ReactorRuntime {
   NodeId add_node(core::Node& node, std::uint64_t seed);
 
   /// Installs socket hooks, arms every node's first round tick, and launches
-  /// the loop (or shard) threads. Idempotent while running.
+  /// the shard threads. Idempotent while running.
   void start();
   /// Idempotent; blocks until all threads joined and no readiness callback
   /// of this run is still dispatching, then detaches the socket hooks so
@@ -127,12 +112,13 @@ class ReactorRuntime {
   core::MessageId multicast(NodeId id, util::ByteSpan payload);
 
   /// Runs `fn` with exclusive access to node `id`. Keep it short — it blocks
-  /// that node's protocol (and its shard or a worker slot).
+  /// that node's protocol and, on its home shard, every node it hosts.
   void with_node(NodeId id, const std::function<void(core::Node&)>& fn);
 
-  /// The runtime's own telemetry ("loop.*" counters, timer slop histogram,
-  /// "reactor.timer_resyncs", and in sharded mode the merged per-shard
-  /// "reactor.shard.*" counters). Read only while stopped.
+  /// The runtime's own telemetry: every past run's merged shard registries
+  /// ("loop.*" counters, timer slop histogram, "reactor.timer_resyncs",
+  /// "reactor.shard.*") and the "reactor.shards" gauge. Read only while
+  /// stopped.
   [[nodiscard]] const obs::MetricsRegistry& loop_registry() const {
     return loop_registry_;
   }
@@ -150,7 +136,7 @@ class ReactorRuntime {
     /// ordering.
     std::size_t shard = 0;
 
-    /// True while the node sits in a run queue, a ring, or a shard-local
+    /// True while the node sits in a ring, a post queue, or its shard's
     /// ready list, or is being drained — prevents duplicate entries, not
     /// duplicate work (mu does that).
     std::atomic<bool> scheduled{false};
@@ -161,12 +147,10 @@ class ReactorRuntime {
     net::EventLoop::Clock::time_point next_deadline{};
     net::EventLoop::TimerId timer_id = 0;
     /// When the current round tick fired, as µs since the steady-clock
-    /// epoch. Atomic because the next tick can (rarely) fire while a worker
-    /// is still reading the previous value.
-    std::atomic<std::int64_t> fire_us{0};
+    /// epoch.
+    std::int64_t fire_us = 0;
 
-    // Telemetry; written under mu. Same names NodeRunner used, so merged
-    // experiment metrics read identically across runtimes.
+    // Telemetry; written under mu.
     obs::Counter* m_ticks DRUM_GUARDED_BY(mu) = nullptr;
     obs::Counter* m_polls DRUM_GUARDED_BY(mu) = nullptr;
     obs::Histogram* m_poll_us DRUM_GUARDED_BY(mu) = nullptr;
@@ -232,12 +216,12 @@ class ReactorRuntime {
     obs::Counter* m_resyncs = nullptr;    ///< reactor.timer_resyncs
   };
 
-  /// Admission gate for the MemSocket readiness callbacks of one sharded
-  /// run. MemNetwork copies a queue's callback and invokes it outside every
+  /// Admission gate for the MemSocket readiness callbacks of one run.
+  /// MemNetwork copies a queue's callback and invokes it outside every
   /// lock, so a sender thread can call it after stop() detached it. Each
   /// callback holds the gate by shared_ptr and enters only while it is
-  /// open; stop_sharded() closes it and waits until no call is inside, so
-  /// no dispatch() from an earlier run can touch the shards afterwards (or
+  /// open; stop() closes it and waits until no call is inside, so no
+  /// dispatch() from an earlier run can touch the shards afterwards (or
   /// this runtime at all, once it is destroyed).
   struct CallbackGate {
     std::atomic<bool> open{true};
@@ -245,29 +229,19 @@ class ReactorRuntime {
   };
 
   net::EventLoop::Clock::duration jittered_round(NodeState& st);
-  net::EventLoop& home_loop(NodeState& st);
   void arm_first_tick(NodeState& st);
   void on_round_timer(NodeState& st);  // home loop thread
-  /// Routes `st` to whoever runs it: the worker queue / inline path when
-  /// shards == 1, the home shard's ready list or inbound ring otherwise.
+  /// Routes `st` to its home shard: a thread-local push onto the ready list
+  /// from the home thread, the inbound ring from a peer shard, the home
+  /// loop's post queue from anywhere else.
   void dispatch(NodeState& st);
-  /// Inline (workers == 0, shards == 1) path: the single-node batch.
-  void run_node(NodeState& st);
-  /// The ingress pipeline (DESIGN.md §12): drain every node under its own
-  /// lock into `batch`, run the accumulated crypto once with NO node lock
-  /// held, then re-lock each drained node to push its verified frames back
-  /// in. Round ticks stay self-contained under a single lock hold.
-  void run_batch(std::span<NodeState* const> sts,
-                 core::ingress::IngressBatch& batch,
-                 std::vector<Drained>& scratch);
-  void worker_main();
-  void install_hooks(NodeState& st);          // shards == 1
-  void install_hooks_sharded(NodeState& st);  // shards >= 2
-
-  void start_single() DRUM_REQUIRES(lifecycle_mu_);
-  void stop_single() DRUM_REQUIRES(lifecycle_mu_);
-  void start_sharded(std::size_t n_shards) DRUM_REQUIRES(lifecycle_mu_);
-  void stop_sharded() DRUM_REQUIRES(lifecycle_mu_);
+  /// The ingress pipeline (DESIGN.md §12) over `sts`, all homed on `sh`:
+  /// drain every node under its own lock into the shard's batch, run the
+  /// accumulated crypto once with NO node lock held, then re-lock each
+  /// drained node to push its verified frames back in. Round ticks stay
+  /// self-contained under a single lock hold.
+  void run_batch(Shard& sh, std::span<NodeState* const> sts);
+  void install_hooks(NodeState& st) DRUM_REQUIRES(lifecycle_mu_);
 
   /// End-of-cycle hook on shard `sh`'s loop thread: drain inbound rings,
   /// run the batch pipeline over everything accumulated, and only declare
@@ -277,45 +251,19 @@ class ReactorRuntime {
   void drain_rings(Shard& sh);
 
   ReactorConfig cfg_;
-  net::EventLoop loop_;  ///< the shards == 1 loop; idle in sharded mode
   obs::MetricsRegistry loop_registry_;
-  obs::Counter* m_resyncs_ = nullptr;
 
   std::deque<NodeState> nodes_;  // deque: stable addresses, non-movable state
 
-  check::Mutex sources_mu_;
-  std::unordered_map<net::Socket*, net::EventLoop::SourceId> sources_
-      DRUM_GUARDED_BY(sources_mu_);
-
-  check::Mutex queue_mu_;
-  /// _any: waits on a check::MutexLock (BasicLockable), which keeps the
-  /// queue under the annotated capability.
-  std::condition_variable_any queue_cv_;
-  std::deque<NodeState*> queue_ DRUM_GUARDED_BY(queue_mu_);
-  bool workers_stop_ DRUM_GUARDED_BY(queue_mu_) = false;
-
-  /// Serializes start()/stop() against each other; owns the thread handles.
+  /// Serializes start()/stop() against each other.
   check::Mutex lifecycle_mu_;
-  std::thread loop_thread_ DRUM_GUARDED_BY(lifecycle_mu_);
-  std::vector<std::thread> workers_ DRUM_GUARDED_BY(lifecycle_mu_);
 
-  /// Shards of the current run; built by start_sharded(), torn down by
-  /// stop_sharded(). unique_ptr: EventLoop is neither movable nor copyable.
+  /// Shards of the current run; built by start(), torn down by stop().
+  /// unique_ptr: EventLoop is neither movable nor copyable.
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// The current sharded run's callback gate; replaced by start_sharded().
-  std::shared_ptr<CallbackGate> gate_;
+  /// The current run's callback gate; replaced by start().
+  std::shared_ptr<CallbackGate> gate_ DRUM_GUARDED_BY(lifecycle_mu_);
 
-  /// Inline-path scratch (shards == 1, workers == 0); loop thread only.
-  core::ingress::IngressBatch inline_batch_;
-  std::vector<Drained> inline_scratch_;
-
-  /// Mirror of `!workers_.empty()`, readable from loop/worker threads
-  /// without lifecycle_mu_: dispatch() keys inline-vs-queued execution off
-  /// it. Written in start() before any event can fire.
-  std::atomic<bool> inline_dispatch_{true};
-  /// True while the current run is sharded; written under lifecycle_mu_
-  /// before any event can fire, read lock-free by dispatch().
-  std::atomic<bool> sharded_{false};
   std::atomic<std::size_t> n_shards_{0};
   std::atomic<bool> running_{false};
 };

@@ -37,7 +37,8 @@ struct Pair {
   /// node's ingest(). Lets tests observe or act while a node is "entered".
   std::function<void(std::uint32_t, const Node::Delivery&)> on_delivery;
 
-  explicit Pair(std::size_t n, Variant v = Variant::kDrum) {
+  explicit Pair(std::size_t n, Variant v = Variant::kDrum,
+                bool scoring = false) {
     // Fresh world, deliberately re-seeded: open a new nonce-tracker window
     // (same seed => same keys and nonce streams as the previous fixture).
     check::reset_nonce_tracker();
@@ -60,6 +61,7 @@ struct Pair {
       cfg.wk_pull_port = dir[id].wk_pull_port;
       cfg.wk_offer_port = dir[id].wk_offer_port;
       cfg.wk_pull_reply_port = dir[id].wk_pull_reply_port;
+      cfg.scoring.enabled = scoring;
       nodes.push_back(std::make_unique<Node>(
           cfg, ids[id], dir, *transports.back(), rng.next(),
           [this, id](const Node::Delivery& d) {
@@ -244,7 +246,7 @@ struct Solo {
   std::unique_ptr<Node> node;
   std::vector<Node::Delivery> got;
 
-  explicit Solo(Variant v = Variant::kDrum) {
+  explicit Solo(Variant v = Variant::kDrum, bool scoring = false) {
     check::reset_nonce_tracker();  // fresh deliberately re-seeded world
     dir.resize(3);
     for (std::uint32_t id = 0; id < 3; ++id) {
@@ -263,11 +265,151 @@ struct Solo {
     cfg.wk_pull_port = 3000;
     cfg.wk_offer_port = 3001;
     cfg.wk_pull_reply_port = 3002;
+    cfg.scoring.enabled = scoring;
     node = std::make_unique<Node>(
         cfg, ids[0], dir, *transport, rng.next(),
         [this](const Node::Delivery& d) { got.push_back(d); });
   }
 };
+
+/// A well-formed control frame on `channel`'s wire type naming `sender`,
+/// carrying a garbage port box — what an off-path spoofer sends.
+util::Bytes garbage_box_frame(Channel channel, std::uint32_t sender) {
+  util::Bytes box(crypto::kPortBoxOverhead + 2, 0xAB);
+  if (channel == Channel::kOffer) {
+    PushOffer offer;
+    offer.sender = sender;
+    offer.boxed_reply_port = std::move(box);
+    return encode(offer);
+  }
+  PullRequest req;
+  req.sender = sender;
+  req.boxed_reply_port = std::move(box);
+  return encode(req);
+}
+
+// A failed port box is unauthenticated: anyone can name any member as the
+// sender. Scoring it let a spoofed flood greylist every correct peer at
+// its victims; the box failure is counted but never charged to a peer.
+TEST(Node, SpoofedBoxFailuresNeverGreylistACorrectPeer) {
+  // Three live, correct nodes (so no peer is a black hole to anyone); node
+  // 0 is flooded with garbage-box frames naming correct peer 1.
+  Pair p(3, Variant::kDrum, /*scoring=*/true);
+  for (int round = 0; round < 20; ++round) {
+    for (int i = 0; i < 40; ++i) {
+      p.net.send_raw(net::Address{0xBAD, 1}, net::Address{0, 3001},
+                     util::ByteSpan(garbage_box_frame(Channel::kOffer, 1)));
+      p.net.send_raw(net::Address{0xBAD, 2}, net::Address{0, 3000},
+                     util::ByteSpan(garbage_box_frame(Channel::kPullReq, 1)));
+    }
+    p.run(1);
+  }
+  Node& victim = *p.nodes[0];
+  EXPECT_GT(victim.registry().counter_value("node.box_failures"), 100u);
+  EXPECT_FALSE(victim.score_table().greylisted(1));
+  EXPECT_EQ(victim.score_table().greylist_entries(), 0u);
+  EXPECT_EQ(victim.score_table().penalties_decode(), 0u);
+}
+
+// With scoring on, scored channels read past their budget (up to the read
+// cap). Every datagram a flood lands on the node must still end in exactly
+// one counter: budgeted read, over-budget scored read, greylist drop, or
+// round-end flush.
+TEST(Node, ScoredFloodAccountsForEveryDatagram) {
+  Solo p(Variant::kDrum, /*scoring=*/true);
+  // Malformed frames naming peer 2 are (frameable, low-weight) decode
+  // evidence, so peer 2 ends up greylisted and its later frames are
+  // dropped before the budget; garbage boxes naming peer 1 are not.
+  util::Bytes malformed = garbage_box_frame(Channel::kOffer, 2);
+  malformed.push_back(0);  // trailing byte: decode error, sender peekable
+  std::uint64_t sent = 0;
+  for (int round = 0; round < 12; ++round) {
+    for (int i = 0; i < 30; ++i) {
+      p.net.send_raw(net::Address{0xBAD, 1}, net::Address{0, 3001},
+                     util::ByteSpan(garbage_box_frame(Channel::kOffer, 1)));
+      p.net.send_raw(net::Address{0xBAD, 2}, net::Address{0, 3000},
+                     util::ByteSpan(garbage_box_frame(Channel::kPullReq, 1)));
+      p.net.send_raw(net::Address{0xBAD, 3}, net::Address{0, 3001},
+                     util::ByteSpan(malformed));
+      sent += 3;
+    }
+    poll_node(*p.node);
+    p.node->on_round();
+  }
+  const auto& reg = p.node->registry();
+  const std::uint64_t read = reg.counter_value("node.datagrams_read");
+  const std::uint64_t overflow =
+      reg.counter_value("node.score_overflow_reads");
+  const std::uint64_t dropped = reg.counter_value("score.greylist_drops");
+  const std::uint64_t flushed = reg.counter_value("node.flushed_unread");
+  // Every term is exercised, so the sum below checks all four.
+  EXPECT_GT(read, 0u);
+  EXPECT_GT(overflow, 0u);
+  EXPECT_GT(dropped, 0u);
+  EXPECT_GT(flushed, 0u);
+  EXPECT_EQ(sent, read + overflow + dropped + flushed);
+}
+
+// The scored read cap (budget x read_multiplier) bounds a round, not a
+// wakeup: a flood that wakes the node again and again within one round
+// must not buy more reads than the cap.
+TEST(Node, ScoredReadCapHoldsAcrossWakeupsInARound) {
+  Solo p(Variant::kDrum, /*scoring=*/true);
+  for (int wakeup = 0; wakeup < 10; ++wakeup) {
+    for (int i = 0; i < 20; ++i) {
+      p.net.send_raw(net::Address{0xBAD, 1}, net::Address{0, 3001},
+                     util::ByteSpan(garbage_box_frame(Channel::kOffer, 1)));
+    }
+    poll_node(*p.node);
+  }
+  const auto& reg = p.node->registry();
+  const std::uint64_t reads = reg.counter_value("node.datagrams_read") +
+                              reg.counter_value("node.score_overflow_reads");
+  const NodeConfig cfg = make_node_config(Variant::kDrum, 0);
+  EXPECT_EQ(reads, cfg.offer_budget() * cfg.scoring.read_multiplier);
+}
+
+// Port-box nonces must not be a function of the node's seed: two Nodes
+// built from the same seed and identity (a restart with the old seed, a
+// re-seeded test world) sealing to the same peer would otherwise reuse the
+// pair key's keystream.
+TEST(Node, SameSeedAndIdentityDrawDistinctPortBoxNonces) {
+  check::reset_nonce_tracker();
+  util::Rng id_rng{5};
+  const auto me = crypto::Identity::generate(id_rng);
+  const auto peer = crypto::Identity::generate(id_rng);
+  std::vector<Peer> dir(2);
+  dir[0] = {0, 0, 3000, 3001, 3002, me.sign_public(), me.dh_public(), true};
+  dir[1] = {1, 1, 3003, 3004, 3005, peer.sign_public(), peer.dh_public(),
+            true};
+
+  // Builds node 0 in a fresh world and returns the nonce of the port box in
+  // the pull request its constructor's first gossip sends to peer 1.
+  auto first_pull_nonce = [&]() {
+    net::MemNetwork net;
+    auto peer_tr = net.transport(1);
+    auto pull_in = peer_tr->bind(3003).take();
+    auto offer_in = peer_tr->bind(3004).take();
+    auto tr = net.transport(0);
+    NodeConfig cfg = make_node_config(Variant::kDrum, 0);
+    cfg.wk_pull_port = 3000;
+    cfg.wk_offer_port = 3001;
+    Node node(cfg, me, dir, *tr, /*rng_seed=*/42, nullptr);
+    auto dgram = pull_in->recv();
+    EXPECT_TRUE(dgram.has_value());
+    if (!dgram) return util::Bytes{};
+    PullRequest req =
+        decode_pull_request(util::ByteSpan(dgram->payload), 1024);
+    return util::Bytes(req.boxed_reply_port.begin(),
+                       req.boxed_reply_port.begin() +
+                           static_cast<std::ptrdiff_t>(crypto::kPortBoxNonceSize));
+  };
+  const util::Bytes a = first_pull_nonce();
+  const util::Bytes b = first_pull_nonce();
+  ASSERT_EQ(a.size(), crypto::kPortBoxNonceSize);
+  ASSERT_EQ(b.size(), crypto::kPortBoxNonceSize);
+  EXPECT_NE(a, b);
+}
 
 TEST(Node, FloodedChannelIsBudgetBoundedPerRound) {
   Solo p;

@@ -1,13 +1,15 @@
-// Real-time threaded execution: NodeRunner drives nodes concurrently over
-// the (thread-safe) in-memory network and real UDP loopback — the
-// multithreaded unsynchronized-rounds deployment of paper §8, in miniature.
+// Real-time threaded execution: one single-shard ReactorRuntime per node
+// drives the nodes concurrently over the (thread-safe) in-memory network
+// and real UDP loopback — the multithreaded unsynchronized-rounds deployment
+// of paper §8, in miniature. Every delivery crosses from one runtime's
+// thread into another's post queue.
 #include <gtest/gtest.h>
 
 #include <chrono>
 
 #include "drum/net/mem_transport.hpp"
 #include "drum/net/udp_transport.hpp"
-#include "drum/runtime/runner.hpp"
+#include "drum/runtime/reactor.hpp"
 
 namespace drum::runtime {
 namespace {
@@ -21,7 +23,8 @@ struct Fleet {
   std::vector<core::Peer> dir;
   std::vector<std::unique_ptr<net::Transport>> transports;
   std::vector<std::unique_ptr<core::Node>> nodes;
-  std::vector<std::unique_ptr<NodeRunner>> runners;
+  /// One runtime per node, each hosting its node as node id 0.
+  std::vector<std::unique_ptr<ReactorRuntime>> runtimes;
   std::atomic<int> delivered{0};
 
   Fleet(std::size_t n, bool udp, std::uint16_t base_port) {
@@ -49,18 +52,19 @@ struct Fleet {
       nodes.push_back(std::make_unique<core::Node>(
           cfg, ids[id], dir, *transports.back(), rng.next(),
           [this](const core::Node::Delivery&) { delivered.fetch_add(1); }));
-      RunnerConfig rc;
+      ReactorConfig rc;
       rc.round = 60ms;
-      runners.push_back(
-          std::make_unique<NodeRunner>(*nodes.back(), rc, rng.next()));
+      rc.shards = 1;
+      runtimes.push_back(std::make_unique<ReactorRuntime>(rc));
+      runtimes.back()->add_node(*nodes.back(), rng.next());
     }
   }
 
   void start() {
-    for (auto& r : runners) r->start();
+    for (auto& r : runtimes) r->start();
   }
   void stop() {
-    for (auto& r : runners) r->stop();
+    for (auto& r : runtimes) r->stop();
   }
 };
 
@@ -78,7 +82,7 @@ bool eventually(const std::function<bool()>& cond,
 TEST(Runtime, ConcurrentDisseminationOverMemNetwork) {
   Fleet f(6, false, 9000);
   f.start();
-  f.runners[0]->multicast(util::ByteSpan(
+  f.runtimes[0]->multicast(0, util::ByteSpan(
       reinterpret_cast<const std::uint8_t*>("live"), 4));
   EXPECT_TRUE(eventually([&] { return f.delivered.load() >= 5; }, 5000ms));
   f.stop();
@@ -88,7 +92,7 @@ TEST(Runtime, ConcurrentDisseminationOverMemNetwork) {
 TEST(Runtime, ConcurrentDisseminationOverUdp) {
   Fleet f(5, true, 27000);
   f.start();
-  f.runners[1]->multicast(util::ByteSpan(
+  f.runtimes[1]->multicast(0, util::ByteSpan(
       reinterpret_cast<const std::uint8_t*>("udp"), 3));
   EXPECT_TRUE(eventually([&] { return f.delivered.load() >= 4; }, 5000ms));
   f.stop();
@@ -99,33 +103,35 @@ TEST(Runtime, StopIsIdempotentAndRestartable) {
   f.start();
   f.stop();
   f.stop();  // no crash, no deadlock
-  for (auto& r : f.runners) EXPECT_FALSE(r->running());
+  for (auto& r : f.runtimes) EXPECT_FALSE(r->running());
   f.start();
-  f.runners[0]->multicast(util::ByteSpan(
+  f.runtimes[0]->multicast(0, util::ByteSpan(
       reinterpret_cast<const std::uint8_t*>("x"), 1));
   EXPECT_TRUE(eventually([&] { return f.delivered.load() >= 3; }, 5000ms));
   f.stop();
 }
 
-// The runner promises one thread total. Its reactor must not inherit the
-// ReactorConfig default (shards == 0 resolves to the core count), which
-// would start one loop per core, all but one owning no node.
+// A one-node runtime pinned to shards == 1 runs one loop thread whatever
+// the core count; the ReactorConfig default (shards == 0) would start one
+// loop per core, all but one owning no node.
 TEST(Runtime, RunnerRunsOneLoopOnAnyCoreCount) {
   Fleet f(2, false, 9250);
   f.start();
-  for (auto& r : f.runners) EXPECT_EQ(r->shard_count(), 1u);
+  for (auto& r : f.runtimes) EXPECT_EQ(r->shard_count(), 1u);
   f.stop();
 }
 
 TEST(Runtime, WithNodeGivesExclusiveAccess) {
   Fleet f(4, false, 9200);
   f.start();
-  f.runners[0]->multicast(util::ByteSpan(
+  f.runtimes[0]->multicast(0, util::ByteSpan(
       reinterpret_cast<const std::uint8_t*>("y"), 1));
   EXPECT_TRUE(eventually([&] { return f.delivered.load() >= 3; }, 5000ms));
   std::uint64_t rounds = 0;
-  f.runners[2]->with_node(
-      [&](core::Node& n) { rounds = n.registry().counter_value("node.rounds"); });
+  f.runtimes[2]->with_node(
+      0, [&](core::Node& n) {
+        rounds = n.registry().counter_value("node.rounds");
+      });
   EXPECT_GE(rounds, 1u);
   f.stop();
 }

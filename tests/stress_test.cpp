@@ -1,7 +1,7 @@
 // Multi-threaded stress for the runtime layer — the test scripts/check.sh
 // runs under ThreadSanitizer (DRUM_SANITIZE=thread). Application threads
-// hammer NodeRunner's thread-safe surface (multicast / with_node / stop)
-// while the runner threads drive the protocol over the thread-safe
+// hammer ReactorRuntime's thread-safe surface (multicast / with_node / stop)
+// while the shard threads drive the protocol over the thread-safe
 // MemNetwork; TSan verifies mu_ / lifecycle_mu_ / the atomics actually cover
 // every shared access. Notably: concurrent stop() calls used to race on
 // thread_.join().
@@ -16,7 +16,6 @@
 
 #include "drum/net/mem_transport.hpp"
 #include "drum/runtime/reactor.hpp"
-#include "drum/runtime/runner.hpp"
 #include "drum/util/spsc_ring.hpp"
 
 // Sanitizer instrumentation slows the hot path ~10x; throughput-sensitive
@@ -48,7 +47,8 @@ struct Fleet {
   std::vector<core::Peer> dir;
   std::vector<std::unique_ptr<net::Transport>> transports;
   std::vector<std::unique_ptr<core::Node>> nodes;
-  std::vector<std::unique_ptr<NodeRunner>> runners;
+  /// One single-shard runtime per node, each hosting its node as id 0.
+  std::vector<std::unique_ptr<ReactorRuntime>> runtimes;
   std::atomic<int> delivered{0};
 
   explicit Fleet(std::size_t n, std::uint16_t base_port = 9300) {
@@ -72,18 +72,19 @@ struct Fleet {
       nodes.push_back(std::make_unique<core::Node>(
           cfg, ids[id], dir, *transports.back(), rng.next(),
           [this](const core::Node::Delivery&) { delivered.fetch_add(1); }));
-      RunnerConfig rc;
+      ReactorConfig rc;
       rc.round = 30ms;
-      runners.push_back(
-          std::make_unique<NodeRunner>(*nodes.back(), rc, rng.next()));
+      rc.shards = 1;
+      runtimes.push_back(std::make_unique<ReactorRuntime>(rc));
+      runtimes.back()->add_node(*nodes.back(), rng.next());
     }
   }
 
   void start() {
-    for (auto& r : runners) r->start();
+    for (auto& r : runtimes) r->start();
   }
   void stop() {
-    for (auto& r : runners) r->stop();
+    for (auto& r : runtimes) r->stop();
   }
 };
 
@@ -98,7 +99,7 @@ bool eventually(const std::function<bool()>& cond,
 }
 
 // Several application threads multicast and read stats through the same
-// runners while the protocol runs. Everything here must be TSan-clean.
+// runtimes while the protocol runs. Everything here must be TSan-clean.
 TEST(Stress, ConcurrentMulticastAndWithNode) {
   constexpr int kThreads = 4;
   constexpr int kPerThread = 8;
@@ -111,12 +112,13 @@ TEST(Stress, ConcurrentMulticastAndWithNode) {
     apps.emplace_back([&f, &rounds_seen, t] {
       for (int i = 0; i < kPerThread; ++i) {
         const auto which =
-            static_cast<std::size_t>(t + i) % f.runners.size();
+            static_cast<std::size_t>(t + i) % f.runtimes.size();
         const std::uint8_t payload[2] = {static_cast<std::uint8_t>(t),
                                          static_cast<std::uint8_t>(i)};
-        f.runners[which]->multicast(util::ByteSpan(payload, sizeof payload));
-        f.runners[(which + 1) % f.runners.size()]->with_node(
-            [&rounds_seen](core::Node& n) {
+        f.runtimes[which]->multicast(
+            0, util::ByteSpan(payload, sizeof payload));
+        f.runtimes[(which + 1) % f.runtimes.size()]->with_node(
+            0, [&rounds_seen](core::Node& n) {
               rounds_seen.fetch_add(n.registry().counter_value("node.rounds"));
             });
       }
@@ -132,27 +134,27 @@ TEST(Stress, ConcurrentMulticastAndWithNode) {
   EXPECT_EQ(f.delivered.load(), kThreads * kPerThread * 3);
 }
 
-// Many threads stop the same runners at once, while others are still
+// Many threads stop the same runtimes at once, while others are still
 // multicasting: stop() must be idempotent and join exactly once.
 TEST(Stress, ConcurrentStopFromManyThreads) {
   Fleet f(4, 9400);
   f.start();
-  f.runners[0]->multicast(util::ByteSpan(
+  f.runtimes[0]->multicast(0, util::ByteSpan(
       reinterpret_cast<const std::uint8_t*>("s"), 1));
   EXPECT_TRUE(eventually([&] { return f.delivered.load() >= 3; }, 10000ms));
 
   std::vector<std::thread> stoppers;
   for (int t = 0; t < 6; ++t) {
     stoppers.emplace_back([&f] {
-      for (auto& r : f.runners) r->stop();
+      for (auto& r : f.runtimes) r->stop();
     });
   }
   for (auto& t : stoppers) t.join();
-  for (auto& r : f.runners) EXPECT_FALSE(r->running());
+  for (auto& r : f.runtimes) EXPECT_FALSE(r->running());
 
   // The fleet is restartable after the pile-up.
   f.start();
-  f.runners[1]->multicast(util::ByteSpan(
+  f.runtimes[1]->multicast(0, util::ByteSpan(
       reinterpret_cast<const std::uint8_t*>("t"), 1));
   EXPECT_TRUE(eventually([&] { return f.delivered.load() >= 6; }, 10000ms));
   f.stop();
@@ -165,8 +167,8 @@ TEST(Stress, StartStopChurnWithReaders) {
   std::atomic<bool> done{false};
   std::thread reader([&] {
     while (!done.load()) {
-      for (auto& r : f.runners) {
-        r->with_node([](core::Node& n) {
+      for (auto& r : f.runtimes) {
+        r->with_node(0, [](core::Node& n) {
           (void)n.registry().counter_value("node.rounds");
         });
       }
@@ -175,8 +177,8 @@ TEST(Stress, StartStopChurnWithReaders) {
   });
   for (int cycle = 0; cycle < 5; ++cycle) {
     f.start();
-    f.runners[static_cast<std::size_t>(cycle) % f.runners.size()]->multicast(
-        util::ByteSpan(reinterpret_cast<const std::uint8_t*>("c"), 1));
+    f.runtimes[static_cast<std::size_t>(cycle) % f.runtimes.size()]->multicast(
+        0, util::ByteSpan(reinterpret_cast<const std::uint8_t*>("c"), 1));
     std::this_thread::sleep_for(20ms);
     f.stop();
   }
@@ -189,13 +191,14 @@ TEST(Stress, StartStopChurnWithReaders) {
   f.stop();
 }
 
-// ReactorRuntime under TSan: one event loop + a worker pool drive 8 nodes
-// while application threads multicast / read through with_node and an
-// attacker thread floods spoofed datagrams. Exercises every cross-thread
-// edge of the reactor: the MemSocket readiness bridge (sender thread ->
-// eventfd), worker/loop dispatch handoff (scheduled/ready/round_due), the
-// per-round socket rotation hooks (worker thread -> epoll registration),
-// and lifecycle stop/start races.
+// ReactorRuntime under TSan: three shards drive 8 nodes while application
+// threads multicast / read through with_node and an attacker thread floods
+// spoofed datagrams. Exercises every cross-thread edge of the reactor:
+// MemSocket readiness from a foreign sender thread (post queue), the
+// cross-shard ring handoff (scheduled/ready/round_due), the per-round
+// socket rotation hooks, and lifecycle stop/start races. Three shards is
+// the thread count of the worker-pool shape this test first ran on (one
+// loop plus two workers).
 TEST(Stress, ReactorConcurrentMulticastFloodAndChurn) {
   constexpr std::size_t kNodes = 8;
   util::Rng rng{99};
@@ -218,8 +221,7 @@ TEST(Stress, ReactorConcurrentMulticastFloodAndChurn) {
   }
   ReactorConfig rc;
   rc.round = 30ms;
-  rc.shards = 1;  // the worker pool only exists in the single-loop shape
-  rc.workers = 2;
+  rc.shards = 3;
   ReactorRuntime reactor(rc);
   for (std::uint32_t id = 0; id < kNodes; ++id) {
     transports.push_back(mem.transport(id));
@@ -294,15 +296,14 @@ TEST(Stress, ReactorConcurrentMulticastFloodAndChurn) {
   EXPECT_EQ(delivered.load(), expect + int(kNodes) - 1);
 }
 
-// Cross-node ingress batching under TSan: with more runnable nodes than
-// workers, each worker pops a batch of nodes and runs the DESIGN.md §12
-// pipeline across them — drain A under A.mu, drain B under B.mu, one
-// lock-free crypto pass over both nodes' frames, then re-lock each to
-// ingest. A hard flood with NO inter-send sleep keeps every node's ready
-// flag hot so batches overlap: worker 1 can be verifying frames it drained
-// from node A while worker 2 re-drains A's next backlog. TSan checks that
-// the drained IngressBatch really is private to its worker and that every
-// node entry stays under st.mu.
+// Cross-node ingress batching under TSan: with several runnable nodes per
+// shard, each shard runs the DESIGN.md §12 pipeline across them — drain A
+// under A.mu, drain B under B.mu, one lock-free crypto pass over both
+// nodes' frames, then re-lock each to ingest — while application threads
+// multicast into the same nodes. TSan checks that each IngressBatch really
+// is private to its shard and that every node entry stays under st.mu.
+// Four shards is the thread count of the worker-pool shape this test first
+// ran on (one loop plus three workers).
 TEST(Stress, ReactorCrossNodeBatchAccumulation) {
   constexpr std::size_t kNodes = 12;
   util::Rng rng{101};
@@ -325,8 +326,7 @@ TEST(Stress, ReactorCrossNodeBatchAccumulation) {
   }
   ReactorConfig rc;
   rc.round = 20ms;
-  rc.shards = 1;  // the worker pool only exists in the single-loop shape
-  rc.workers = 3;
+  rc.shards = 4;
   ReactorRuntime reactor(rc);
   for (std::uint32_t id = 0; id < kNodes; ++id) {
     transports.push_back(mem.transport(id));
@@ -342,9 +342,8 @@ TEST(Stress, ReactorCrossNodeBatchAccumulation) {
   }
   reactor.start();
 
-  // Two attacker threads sweep ALL nodes back-to-back so the run queue
-  // holds many ready nodes at once — the precondition for a worker popping
-  // a multi-node batch.
+  // Two attacker threads sweep ALL nodes back-to-back so each shard holds
+  // many ready nodes at once — the precondition for a multi-node batch.
   std::atomic<bool> flood_stop{false};
   std::vector<std::thread> attackers;
   for (int a = 0; a < 2; ++a) {
@@ -360,9 +359,9 @@ TEST(Stress, ReactorCrossNodeBatchAccumulation) {
                                        : dir[victim].wk_pull_port},
                        util::ByteSpan(junk));
         }
-        // Burst-then-pause: the all-nodes burst is what piles the run
-        // queue up (multi-node worker batches); the pause leaves honest
-        // control traffic enough budget to finish in test time.
+        // Burst-then-pause: the all-nodes burst is what piles the ready
+        // lists up (multi-node batches); the pause leaves honest control
+        // traffic enough budget to finish in test time.
         std::this_thread::sleep_for(3ms * kSanSlowdown);
       }
     });
