@@ -8,6 +8,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -337,7 +338,23 @@ TEST_P(ReactorFleet, TelemetryMergedIntoLoopRegistry) {
 }
 
 // Test names carry the shard count: .../1, .../2, and .../0 for auto.
-INSTANTIATE_TEST_SUITE_P(Shards, ReactorFleet, ::testing::Values(1, 2, 0));
+INSTANTIATE_TEST_SUITE_P(
+    Shards, ReactorFleet, ::testing::Values(1, 2, 0),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return std::to_string(info.param);
+    });
+
+TEST(Reactor, ShardedDisseminationOverMemNetwork) {
+  // 5 nodes over 2 shards: node ids alternate shards (id % 2), so the
+  // source's gossip partners mostly live on the other shard and every
+  // delivery exercises the SPSC handoff path.
+  Fleet f(5, false, 8600, fast_config(2));
+  f.reactor->start();
+  f.reactor->multicast(0, text("shrd"));
+  EXPECT_TRUE(eventually([&] { return f.delivered.load() >= 4; }, 5000ms));
+  f.reactor->stop();
+  EXPECT_EQ(f.delivered.load(), 4);
+}
 
 TEST(Reactor, RoundTicksTrackConfiguredRoundWithoutDrift) {
   ReactorConfig rc;
